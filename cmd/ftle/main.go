@@ -63,7 +63,7 @@ func run() error {
 		return err
 	}
 	opts := sublinear.Options{
-		N: *n, Alpha: *alpha, Seed: *seed, Explicit: *explicit, Record: *clouds,
+		N: *n, Alpha: *alpha, Seed: *seed, Explicit: *explicit,
 	}
 	if *f > 0 {
 		opts.Faults = &sublinear.FaultModel{
@@ -80,6 +80,11 @@ func run() error {
 		return runReps(opts, *reps, *timeout)
 	}
 
+	var rec *cloud.Recorder
+	if *clouds {
+		rec = cloud.NewRecorder(*n)
+		opts.Tracer = rec
+	}
 	res, err := cliutil.RunTimeout(*timeout, func() (*sublinear.ElectionResult, error) {
 		return sublinear.Elect(opts)
 	})
@@ -115,10 +120,10 @@ func run() error {
 			}
 		}
 	}
-	if *clouds && res.Trace != nil {
-		an := cloud.Analyze(res.Trace)
+	if rec != nil {
+		an := cloud.Analyze(rec)
 		fmt.Printf("communication graph: %d touched nodes, %d directed edges, %d weak components\n",
-			an.TouchedNodes, res.Trace.EdgeCount(), an.Components)
+			an.TouchedNodes, rec.EdgeCount(), an.Components)
 		fmt.Printf("influence clouds: %d initiators, %d disjoint clouds, smallest cloud %d nodes\n",
 			len(an.Initiators), an.DisjointClouds, an.SmallestCloud)
 	}

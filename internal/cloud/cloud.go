@@ -15,8 +15,110 @@ package cloud
 import (
 	"sort"
 
+	"sublinear/internal/metrics"
 	"sublinear/internal/netsim"
 )
+
+// Recorder captures the communication pattern of a clique run for the
+// analysis: per ordered node pair, the first round a message crossed
+// that edge, plus each node's first send and first receive rounds. It
+// is a netsim.Tracer — pass it as Config.Tracer (core.RunConfig.Tracer,
+// sublinear.Options.Tracer) — and like every tracer it sees the same
+// event stream at every worker count, so the analysis does not depend
+// on how the run was scheduled.
+//
+// Only delivered messages count: a message lost to its sender's crash
+// neither marks a send nor crosses an edge. A message sent in round r
+// is received in round r+1, so a receive is credited when round r+1
+// opens, and only to a receiver that did not crash in any round <= r. A
+// run cut off after round r therefore credits no receive for round r's
+// messages.
+type Recorder struct {
+	n         int
+	firstSend []int // 0 = never
+	firstRecv []int // 0 = never
+	crashed   []bool
+	pending   []int // receivers of the current round's deliveries
+	edges     map[[2]int]int
+	order     [][2]int // edges in first-crossing order
+}
+
+// NewRecorder returns a recorder for an n-node clique run.
+func NewRecorder(n int) *Recorder {
+	return &Recorder{
+		n:         n,
+		firstSend: make([]int, n),
+		firstRecv: make([]int, n),
+		crashed:   make([]bool, n),
+		edges:     make(map[[2]int]int),
+	}
+}
+
+// TraceRound credits the previous round's deliveries as receives.
+func (r *Recorder) TraceRound(round int) {
+	for _, v := range r.pending {
+		if !r.crashed[v] && r.firstRecv[v] == 0 {
+			r.firstRecv[v] = round
+		}
+	}
+	r.pending = r.pending[:0]
+}
+
+// TraceCrash marks node as crashed: it steps in no later round.
+func (r *Recorder) TraceCrash(node, _ int) { r.crashed[node] = true }
+
+// TraceMessage records a delivered message's send and edge crossing.
+func (r *Recorder) TraceMessage(sender, round, port int, _ metrics.Kind, _ int, dropped bool) {
+	if dropped {
+		return
+	}
+	v := netsim.Peer(r.n, sender, port)
+	if r.firstSend[sender] == 0 {
+		r.firstSend[sender] = round
+	}
+	key := [2]int{sender, v}
+	if _, seen := r.edges[key]; !seen {
+		r.edges[key] = round
+		r.order = append(r.order, key)
+	}
+	if r.firstRecv[v] == 0 {
+		r.pending = append(r.pending, v)
+	}
+}
+
+// TraceViolation is ignored: a violating send is either dropped by the
+// engine (bad port) or reported through TraceMessage as well.
+func (r *Recorder) TraceViolation(int, int, string) {}
+
+// TraceAnnotation is ignored.
+func (r *Recorder) TraceAnnotation(int, int, string) {}
+
+// TraceFinish is ignored: messages of the last round are never received.
+func (r *Recorder) TraceFinish(int, int64, int64, uint64) {}
+
+// N returns the number of nodes in the traced network.
+func (r *Recorder) N() int { return r.n }
+
+// FirstSend returns the round node u first sent a message, or 0 if never.
+func (r *Recorder) FirstSend(u int) int { return r.firstSend[u] }
+
+// FirstReceive returns the round node u first received a message (the
+// round the message was in its inbox), or 0 if never.
+func (r *Recorder) FirstReceive(u int) int { return r.firstRecv[u] }
+
+// Edges calls fn for every directed edge (u, v) over which at least one
+// message was delivered, with the round of the first crossing, in
+// first-crossing order. Returning false stops the iteration.
+func (r *Recorder) Edges(fn func(u, v, round int) bool) {
+	for _, key := range r.order {
+		if !fn(key[0], key[1], r.edges[key]) {
+			return
+		}
+	}
+}
+
+// EdgeCount returns the number of distinct directed communication edges.
+func (r *Recorder) EdgeCount() int { return len(r.edges) }
 
 // Analysis summarises the communication structure of one traced run.
 type Analysis struct {
@@ -41,8 +143,8 @@ type Analysis struct {
 	TouchedNodes int
 }
 
-// Analyze builds the influence-cloud structure from a message trace.
-func Analyze(t *netsim.Trace) *Analysis {
+// Analyze builds the influence-cloud structure from a recorded run.
+func Analyze(t *Recorder) *Analysis {
 	n := t.N()
 	adj := make(map[int][]int)
 	touched := make(map[int]bool)

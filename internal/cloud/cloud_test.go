@@ -1,8 +1,11 @@
 package cloud
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
+	"sublinear"
 	"sublinear/internal/netsim"
 )
 
@@ -42,15 +45,22 @@ func runStars(t *testing.T, n int, hubs map[int][]int) *Analysis {
 	for u := range machines {
 		machines[u] = &starMachine{hub: hubs[u] != nil, ports: hubs[u]}
 	}
-	eng, err := netsim.NewEngine(netsim.Config{N: n, Alpha: 1, MaxRounds: 3, Record: true}, machines, nil)
+	return Analyze(record(t, netsim.Config{N: n, Alpha: 1, MaxRounds: 3}, machines))
+}
+
+// record runs the machines on the clique with a Recorder attached.
+func record(t *testing.T, cfg netsim.Config, machines []netsim.Machine) *Recorder {
+	t.Helper()
+	rec := NewRecorder(cfg.N)
+	cfg.Tracer = rec
+	eng, err := netsim.NewEngine(cfg, machines, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
-	if err != nil {
+	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return Analyze(res.Trace)
+	return rec
 }
 
 func TestTwoDisjointStars(t *testing.T) {
@@ -128,15 +138,7 @@ func TestChainIsOneCloud(t *testing.T) {
 	for u := range machines {
 		machines[u] = &chainMachine{initiator: u == 0}
 	}
-	eng, err := netsim.NewEngine(netsim.Config{N: n, Alpha: 1, MaxRounds: 10, Record: true}, machines, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := Analyze(res.Trace)
+	an := Analyze(record(t, netsim.Config{N: n, Alpha: 1, MaxRounds: 10}, machines))
 	// Only node 0 initiates; its influence cloud is the whole chain.
 	if len(an.Initiators) != 1 || an.Initiators[0] != 0 {
 		t.Fatalf("initiators = %v", an.Initiators)
@@ -157,15 +159,7 @@ func TestInitiatorDetectionWithReplies(t *testing.T) {
 		&replyMachine{},
 		&starMachine{},
 	}
-	eng, err := netsim.NewEngine(netsim.Config{N: 3, Alpha: 1, MaxRounds: 4, Record: true}, machines, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := Analyze(res.Trace)
+	an := Analyze(record(t, netsim.Config{N: 3, Alpha: 1, MaxRounds: 4}, machines))
 	if len(an.Initiators) != 1 || an.Initiators[0] != 0 {
 		t.Fatalf("initiators = %v, want [0]", an.Initiators)
 	}
@@ -184,3 +178,104 @@ func (m *replyMachine) Step(_ *netsim.Env, round int, inbox []netsim.Delivery) [
 
 func (m *replyMachine) Done() bool  { return m.last >= 3 }
 func (m *replyMachine) Output() any { return nil }
+
+// fingerprint summarises a recording: the analysis figures plus a hash
+// over every node's first send and first receive and the edges in
+// first-crossing order.
+func fingerprint(r *Recorder) string {
+	h := fnv.New64a()
+	for u := 0; u < r.N(); u++ {
+		fmt.Fprintf(h, "%d:%d,%d;", u, r.FirstSend(u), r.FirstReceive(u))
+	}
+	r.Edges(func(u, v, round int) bool {
+		fmt.Fprintf(h, "%d>%d@%d;", u, v, round)
+		return true
+	})
+	an := Analyze(r)
+	return fmt.Sprintf("edges=%d init=%d disjoint=%d smallest=%d touched=%d comps=%d fp=%#x",
+		r.EdgeCount(), len(an.Initiators), an.DisjointClouds, an.SmallestCloud, an.TouchedNodes, an.Components, h.Sum64())
+}
+
+// TestRecorderGoldenValues pins the recordings of message-starved E6
+// agreement runs, crashing DropHalf elections and runs cut off by
+// MaxRounds. The values were first checked equal, field by field, to
+// the engine's former built-in message trace; each protocol run is
+// recorded on one worker and at the GOMAXPROCS default, which must
+// agree.
+func TestRecorderGoldenValues(t *testing.T) {
+	both := func(t *testing.T, n int, run func(opts *sublinear.Options) error, opts sublinear.Options) string {
+		t.Helper()
+		var got [2]string
+		for i, concurrent := range []bool{false, true} {
+			rec := NewRecorder(n)
+			opts.Tracer, opts.Concurrent = rec, concurrent
+			if err := run(&opts); err != nil {
+				t.Fatal(err)
+			}
+			got[i] = fingerprint(rec)
+		}
+		if got[0] != got[1] {
+			t.Errorf("one worker %s, GOMAXPROCS %s", got[0], got[1])
+		}
+		return got[0]
+	}
+	const n = 512
+	for _, tc := range []struct {
+		s    float64
+		seed uint64
+		want string
+	}{
+		{0.5, 2049, "edges=4939 init=31 disjoint=0 smallest=509 touched=509 comps=1 fp=0x1e3142e32e215f50"},
+		{0.5, 8200, "edges=6580 init=42 disjoint=0 smallest=512 touched=512 comps=1 fp=0xf953e432ec0e7801"},
+		{0.125, 513, "edges=560 init=14 disjoint=0 smallest=234 touched=234 comps=1 fp=0xfe1b7068366bcdf"},
+		{0.125, 6664, "edges=400 init=10 disjoint=0 smallest=180 touched=180 comps=1 fp=0xcb2dd7f721a83891"},
+		{0.125, 12815, "edges=279 init=7 disjoint=0 smallest=129 touched=129 comps=1 fp=0x88ec0b95e9a8b48a"},
+	} {
+		// E6's agreement configuration (internal/experiment, runE6).
+		opts := sublinear.Options{
+			N: n, Alpha: 0.5, Seed: tc.seed,
+			Tuning: sublinear.Tuning{CandidateFactor: 6 * tc.s, RefereeFactor: 2 * tc.s},
+			Faults: &sublinear.FaultModel{Faulty: n / 2, Policy: sublinear.DropHalf},
+		}
+		inputs := sublinear.RandomInputs(n, 0.5, tc.seed^0xfeed)
+		got := both(t, n, func(o *sublinear.Options) error { _, err := sublinear.Agree(*o, inputs); return err }, opts)
+		if got != tc.want {
+			t.Errorf("E6 s=%v seed=%d: %s, want %s", tc.s, tc.seed, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		seed uint64
+		want string
+	}{
+		{1, "edges=41593 init=88 disjoint=0 smallest=1024 touched=1024 comps=1 fp=0x5478bdadfba75b94"},
+		{2, "edges=35079 init=74 disjoint=0 smallest=1024 touched=1024 comps=1 fp=0x53f35c46aaf3cefd"},
+	} {
+		opts := sublinear.Options{N: 1024, Alpha: 0.5, Seed: tc.seed,
+			Faults: &sublinear.FaultModel{Faulty: 512, Policy: sublinear.DropHalf}}
+		got := both(t, 1024, func(o *sublinear.Options) error { _, err := sublinear.Elect(*o); return err }, opts)
+		if got != tc.want {
+			t.Errorf("crashing election seed=%d: %s, want %s", tc.seed, got, tc.want)
+		}
+	}
+	// A chain cut off after round r leaves round r's message unreceived.
+	for _, tc := range []struct {
+		rounds int
+		want   string
+	}{
+		{2, "edges=2 init=1 disjoint=1 smallest=3 touched=3 comps=1 fp=0x76a422363e3a6bdc"},
+		{3, "edges=3 init=1 disjoint=1 smallest=4 touched=4 comps=1 fp=0x5cb07221e46319b5"},
+		{4, "edges=4 init=1 disjoint=1 smallest=5 touched=5 comps=1 fp=0x9ac30d9364b0f7f5"},
+	} {
+		machines := make([]netsim.Machine, 6)
+		for u := range machines {
+			machines[u] = &chainMachine{initiator: u == 0}
+		}
+		rec := record(t, netsim.Config{N: 6, Alpha: 1, MaxRounds: tc.rounds}, machines)
+		if got := fingerprint(rec); got != tc.want {
+			t.Errorf("chain MaxRounds=%d: %s, want %s", tc.rounds, got, tc.want)
+		}
+		if rec.FirstReceive(tc.rounds) != 0 {
+			t.Errorf("chain MaxRounds=%d: node %d credited a receive in a round that never ran", tc.rounds, tc.rounds)
+		}
+	}
+}

@@ -165,7 +165,6 @@ func RunElectionWithByzantine(cfg RunConfig, byz int) (*ByzantineElectionResult,
 		Faulty:    res.Faulty,
 		Rounds:    res.Rounds,
 		Counters:  res.Counters,
-		Trace:     res.Trace,
 	}
 	for u, o := range res.Outputs {
 		eo, ok := o.(ElectionOutput)
@@ -233,7 +232,6 @@ func RunAgreementWithByzantine(cfg RunConfig, byz int) (*ByzantineAgreementResul
 		Faulty:    res.Faulty,
 		Rounds:    res.Rounds,
 		Counters:  res.Counters,
-		Trace:     res.Trace,
 	}
 	for u, o := range res.Outputs {
 		ao, ok := o.(AgreementOutput)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"sublinear/internal/cloud"
 	"sublinear/internal/fault"
 	"sublinear/internal/netsim"
 	"sublinear/internal/rng"
@@ -158,14 +159,15 @@ func TestElectionLeaderCrashAfterClaim(t *testing.T) {
 }
 
 func TestElectionRecordsTrace(t *testing.T) {
-	res := electOnce(t, RunConfig{N: 128, Alpha: 0.75, Seed: 1, Record: true})
-	if res.Trace == nil || res.Trace.EdgeCount() == 0 {
+	rec := cloud.NewRecorder(128)
+	res := electOnce(t, RunConfig{N: 128, Alpha: 0.75, Seed: 1, Tracer: rec})
+	if rec.EdgeCount() == 0 {
 		t.Fatal("no trace recorded")
 	}
 	// Every candidate sent before receiving (initiator); passives never
 	// send first.
 	for u, o := range res.Outputs {
-		fs, fr := res.Trace.FirstSend(u), res.Trace.FirstReceive(u)
+		fs, fr := rec.FirstSend(u), rec.FirstReceive(u)
 		if o.IsCandidate && fs != 1 {
 			t.Errorf("candidate %d first send = %d, want 1", u, fs)
 		}

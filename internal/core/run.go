@@ -21,13 +21,11 @@ type RunConfig struct {
 	Params Params
 	// Adversary injects crash faults; nil means a fault-free run.
 	Adversary netsim.Adversary
-	// Record enables message tracing for influence-cloud analysis.
-	Record bool
 	// Tracer, when non-nil, streams every engine event (rounds, sends,
 	// drops, crashes, violations) to an execution flight recorder — see
-	// internal/trace. Unlike Record it does not constrain the engine to
-	// one worker and costs nothing when nil. Honored by every mode,
-	// including the socket engine, which emits the identical event
+	// internal/trace — or to the influence-cloud recorder of
+	// internal/cloud. It costs nothing when nil and is honored by every
+	// mode, including the socket engine, which emits the identical event
 	// stream.
 	Tracer netsim.Tracer
 	// Concurrent runs node steps on parallel goroutines with a round
@@ -61,7 +59,6 @@ func (c RunConfig) engineConfig(maxRounds int) netsim.Config {
 		MaxRounds:     maxRounds,
 		CongestFactor: factor,
 		Strict:        true,
-		Record:        c.Record,
 		Tracer:        c.Tracer,
 	}
 }
@@ -88,8 +85,6 @@ type ElectionResult struct {
 	Rounds int
 	// Counters carries message/bit accounting.
 	Counters *metrics.Counters
-	// Trace is the message trace when RunConfig.Record was set.
-	Trace *netsim.Trace
 	// Digest is the engine's execution fingerprint (netsim.Result.Digest).
 	Digest uint64
 	// Eval summarises success per Definition 1.
@@ -117,7 +112,6 @@ func RunElection(cfg RunConfig) (*ElectionResult, error) {
 		Faulty:    res.Faulty,
 		Rounds:    res.Rounds,
 		Counters:  res.Counters,
-		Trace:     res.Trace,
 		Digest:    res.Digest,
 	}
 	for u, o := range res.Outputs {
@@ -143,8 +137,6 @@ type AgreementResult struct {
 	Rounds int
 	// Counters carries message/bit accounting.
 	Counters *metrics.Counters
-	// Trace is the message trace when RunConfig.Record was set.
-	Trace *netsim.Trace
 	// Digest is the engine's execution fingerprint (netsim.Result.Digest).
 	Digest uint64
 	// Eval summarises success per Definition 2.
@@ -178,7 +170,6 @@ func RunAgreement(cfg RunConfig, inputs []int) (*AgreementResult, error) {
 		Faulty:    res.Faulty,
 		Rounds:    res.Rounds,
 		Counters:  res.Counters,
-		Trace:     res.Trace,
 		Digest:    res.Digest,
 	}
 	for u, o := range res.Outputs {

@@ -48,9 +48,9 @@ func TestDigestGoldenValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// topo.CliqueMode is the topology engine's clique instance: the v2
-		// golden values pre-date it, so matching them proves the new
-		// pipeline reproduces the historical executions bit-for-bit.
+		// topo.CliqueMode is the compiled clique: the v2 golden values
+		// pre-date it, so matching them proves the port-table router
+		// reproduces the historical executions bit-for-bit.
 		for _, mode := range []netsim.RunMode{netsim.Sequential, netsim.Parallel, netsim.Actors, topo.CliqueMode} {
 			t.Run(fmt.Sprintf("%s/seed%d/mode%d", g.system, g.seed, mode), func(t *testing.T) {
 				res, err := sys.Run(c, mode, nil)

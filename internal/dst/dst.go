@@ -150,11 +150,11 @@ func (f *Failure) String() string {
 func sameBug(a, b *Failure) bool { return a.Kind == b.Kind && a.Oracle == b.Oracle }
 
 // modes are the engine strategies every case runs through. The topo
-// entry is the topology engine's clique instance (internal/topo): a
-// fourth independently scheduled delivery pipeline that must reproduce
-// the reference execution byte-for-byte on every system — the
-// registration contract that lets arbitrary-graph runs share the clique
-// engines' verification story.
+// entry is the compiled clique (internal/topo): the clique's wiring
+// routed through a CSR port table, the router every arbitrary-graph run
+// uses. It must reproduce the arithmetic router's execution
+// byte-for-byte on every system — the registration contract that lets
+// arbitrary-graph runs share the clique engines' verification story.
 var modes = []struct {
 	name string
 	mode netsim.RunMode

@@ -45,7 +45,6 @@ func runE6(cfg Config) (*Report, error) {
 			// what o(sqrt(n)/alpha^{3/2}) total messages forces.
 			Tuning: sublinear.Tuning{CandidateFactor: 6 * s, RefereeFactor: 2 * s},
 			Faults: &sublinear.FaultModel{Faulty: f, Policy: sublinear.DropHalf},
-			Record: true,
 		}
 		var (
 			msgs                        []float64
@@ -56,6 +55,12 @@ func runE6(cfg Config) (*Report, error) {
 		for r := 0; r < reps; r++ {
 			opts.Seed = cfg.SeedBase + uint64(r)*6151 + uint64(s*4096)
 			inputs := sublinear.RandomInputs(n, 0.5, opts.Seed^0xfeed)
+			var rec *cloud.Recorder
+			opts.Tracer = nil
+			if r < 5 {
+				rec = cloud.NewRecorder(n)
+				opts.Tracer = rec
+			}
 			res, err := sublinear.Agree(opts, inputs)
 			if err != nil {
 				return nil, err
@@ -64,8 +69,8 @@ func runE6(cfg Config) (*Report, error) {
 			if res.Eval.Success {
 				ok++
 			}
-			if r < 5 && res.Trace != nil {
-				an := cloud.Analyze(res.Trace)
+			if rec != nil {
+				an := cloud.Analyze(rec)
 				inits += float64(len(an.Initiators))
 				disjoint += float64(an.DisjointClouds)
 				smallCloud += float64(an.SmallestCloud)

@@ -16,10 +16,10 @@ type Engine struct {
 
 	envs      []*Env
 	crashedAt []int
+	ports     *Ports // nil: the clique's arithmetic wiring
 
 	counters   metrics.Counters
 	violations []Violation
-	trace      *Trace
 	bitBudget  int
 	digest     digest
 
@@ -72,10 +72,32 @@ func NewEngine(cfg Config, machines []Machine, adv Adversary) (*Engine, error) {
 		envs[u] = Env{N: cfg.N, ID: u, Alpha: cfg.Alpha, Rand: root.Split(uint64(u)), Deg: cfg.N - 1, tracing: cfg.Tracer != nil}
 		e.envs[u] = &envs[u]
 	}
-	if cfg.Record {
-		e.trace = newTrace(cfg.N)
-	}
 	return e, nil
+}
+
+// ExecuteOn runs one execution routed through a compiled port table
+// instead of the clique wiring: node u's ports are 1..ports.Degree(u),
+// Env.Deg reports that degree, and a validated port resolves through
+// the table. It runs the Parallel pipeline at cfg.Workers; everything
+// but the routing — round structure, adversary calls, CONGEST checks,
+// digest folds and the Tracer stream — is the clique's. A nil table is
+// the clique itself, the same run as Execute(Parallel, ...).
+func ExecuteOn(ports *Ports, cfg Config, machines []Machine, adv Adversary) (*Result, error) {
+	if ports != nil && ports.N() != cfg.N {
+		return nil, fmt.Errorf("netsim: port table has %d nodes for N=%d", ports.N(), cfg.N)
+	}
+	e, err := NewEngine(cfg, machines, adv)
+	if err != nil {
+		return nil, err
+	}
+	if ports != nil {
+		e.ports = ports
+		for u, env := range e.envs {
+			env.Deg = ports.Degree(u)
+		}
+	}
+	e.Mode = Parallel
+	return e.Run()
 }
 
 // Run executes rounds until every live machine is done and no messages
@@ -107,11 +129,6 @@ func (e *Engine) Run() (*Result, error) {
 	if mode == Sequential {
 		// The sequential engine stays a pure single-threaded reference
 		// implementation: same pipeline, one inline shard, no goroutines.
-		workers = 1
-	}
-	if e.trace != nil {
-		// Trace recording is order-sensitive and unsynchronized; run the
-		// whole pipeline on the coordination thread.
 		workers = 1
 	}
 	pipe := newPipeline(e, workers)
@@ -178,9 +195,6 @@ func (e *Engine) stepOne(u, round int, inbox []Delivery) []Send {
 		return nil
 	}
 	out := e.machines[u].Step(e.envs[u], round, inbox)
-	if e.trace != nil && len(inbox) > 0 {
-		e.trace.noteReceive(u, round)
-	}
 	if out == nil {
 		return emptyOutbox
 	}
@@ -215,7 +229,6 @@ func (e *Engine) result() *Result {
 		Rounds:     e.counters.Rounds(),
 		Counters:   &e.counters,
 		Violations: e.violations,
-		Trace:      e.trace,
 	}
 	for u, m := range e.machines {
 		res.Outputs[u] = m.Output()

@@ -256,37 +256,6 @@ func TestDoneMachineStaysReactive(t *testing.T) {
 	}
 }
 
-func TestTraceRecords(t *testing.T) {
-	m0 := newScript(3, map[int][]Send{
-		1: {{Port: 1, Payload: testPayload{}}},
-		2: {{Port: 1, Payload: testPayload{}}, {Port: 2, Payload: testPayload{}}},
-	})
-	machines := []Machine{m0, newScript(3, nil), newScript(3, nil)}
-	res := run(t, Config{N: 3, Alpha: 1, MaxRounds: 3, Record: true}, machines, nil)
-	tr := res.Trace
-	if tr == nil {
-		t.Fatal("no trace")
-	}
-	if tr.EdgeCount() != 2 {
-		t.Fatalf("edges = %d, want 2 (0->1, 0->2)", tr.EdgeCount())
-	}
-	if tr.FirstSend(0) != 1 || tr.FirstSend(1) != 0 {
-		t.Errorf("first sends: %d %d", tr.FirstSend(0), tr.FirstSend(1))
-	}
-	if tr.FirstReceive(1) != 2 {
-		t.Errorf("node 1 first receive = %d, want 2", tr.FirstReceive(1))
-	}
-	var edges [][3]int
-	tr.Edges(func(u, v, r int) bool {
-		edges = append(edges, [3]int{u, v, r})
-		return true
-	})
-	want := [][3]int{{0, 1, 1}, {0, 2, 2}}
-	if !reflect.DeepEqual(edges, want) {
-		t.Errorf("edges = %v, want %v", edges, want)
-	}
-}
-
 // randomMachine exercises concurrent-vs-sequential equivalence: each node
 // sends to random ports with random payload ids every round.
 type randomMachine struct {

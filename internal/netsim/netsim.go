@@ -22,7 +22,11 @@
 // (u+p) mod n. The protocols in this repository use ports only for
 // uniform random sampling and for replying on arrival ports, so any fixed
 // bijection yields the same execution distribution as the hidden random
-// permutation of the paper's model (see DESIGN.md).
+// permutation of the paper's model (see DESIGN.md). A run may instead
+// be routed through a compiled port table (Ports, ExecuteOn): the same
+// pipeline then simulates an arbitrary connected graph, with node u's
+// ports 1..Degree(u) following the table (internal/topo builds tables
+// from graphs).
 package netsim
 
 import (
@@ -95,8 +99,8 @@ type Env struct {
 	Alpha float64
 	Rand  *rng.Source
 	// Deg is the number of local ports. On the complete network it is
-	// N-1; the general-graph simulator (internal/graphsim) sets the
-	// node's topology degree.
+	// N-1; a run routed through a port table (ExecuteOn, internal/topo)
+	// sets the node's topology degree.
 	Deg int
 
 	// Trace-annotation buffer, drained by the engine at the round
@@ -209,7 +213,8 @@ type CrashPlanner interface {
 }
 
 // Tracer observes the typed event stream of a run: the execution flight
-// recorder hook (internal/trace implements it). The engine guarantees:
+// recorder hook (internal/trace implements it, and so does the
+// influence-cloud recorder in internal/cloud). The engine guarantees:
 //
 //   - Every method is called on the coordination thread; implementations
 //     need no locking.
@@ -278,21 +283,15 @@ type Config struct {
 	// on one edge in one round, out-of-range ports) abort the run with an
 	// error instead of being recorded.
 	Strict bool
-	// Record enables the message trace needed by the influence-cloud
-	// analysis (internal/cloud). Costs memory proportional to the number
-	// of messages, and forces the delivery pipeline to a single lane so
-	// trace entries keep their deterministic first-crossing order.
-	Record bool
 	// Workers sizes the sharded pipeline's worker pool, used by the
 	// Parallel mode (and its Actors alias). Zero selects
 	// runtime.GOMAXPROCS(0); 1 forces a fully single-threaded pipeline;
 	// negative is invalid.
 	Workers int
 	// Tracer, when non-nil, receives the run's typed event stream in
-	// deterministic order (see the Tracer interface contract). Unlike
-	// Record it does not constrain the pipeline: traced runs keep their
-	// configured worker count and emit identical event streams at every
-	// worker count. nil disables tracing at zero cost.
+	// deterministic order (see the Tracer interface contract). Traced
+	// runs keep their configured worker count and emit identical event
+	// streams at every worker count. nil disables tracing at zero cost.
 	Tracer Tracer
 }
 
@@ -358,9 +357,6 @@ type Result struct {
 	Counters *metrics.Counters
 	// Violations holds CONGEST violations observed in non-strict mode.
 	Violations []Violation
-	// Trace is the recorded message trace, or nil if Config.Record was
-	// false.
-	Trace *Trace
 	// Digest fingerprints the execution: an order-sensitive hash of every
 	// round boundary, crash decision, and message (sender, port, kind,
 	// size, delivered-or-dropped), folded on the coordination thread.

@@ -125,8 +125,8 @@ func (wk *delivWorker) count(k metrics.Kind, bits int) {
 // buckets, lanes, and crash masks.
 type pipeline struct {
 	e     *Engine
-	w     int // shard / worker count
-	chunk int // nodes per shard; a power of two, so routing is a shift
+	w     int  // shard / worker count
+	chunk int  // nodes per shard; a power of two, so routing is a shift
 	shift uint // log2(chunk)
 
 	workers  []delivWorker
@@ -192,7 +192,13 @@ func newPipeline(e *Engine, w int) *pipeline {
 		faulty:   make([]bool, n),
 		keep:     make([][]bool, n),
 	}
-	words := (n + 63) / 64
+	// Ports are bounded by the maximum degree, so the duplicate-port
+	// bitset holds maxDeg+1 bits.
+	maxDeg := n - 1
+	if e.ports != nil {
+		maxDeg = e.ports.MaxDegree()
+	}
+	words := maxDeg>>6 + 1
 	kinds := metrics.KindCount()
 	for i := range p.workers {
 		p.workers[i].portSeen = make([]uint64, words)
@@ -264,10 +270,14 @@ func (p *pipeline) crashPass(round int) int {
 			} else {
 				mask = mask[:len(outbox)]
 			}
+			deg := n - 1
+			if e.ports != nil {
+				deg = e.ports.Degree(u)
+			}
 			for i, s := range outbox {
 				// Out-of-range ports never reach the adversary, matching
 				// the original engine's call set.
-				mask[i] = s.Port >= 1 && s.Port < n && e.adv.DeliverOnCrash(u, round, i, s)
+				mask[i] = s.Port >= 1 && s.Port <= deg && e.adv.DeliverOnCrash(u, round, i, s)
 			}
 			p.keep[u] = mask
 		}
@@ -451,10 +461,22 @@ func (p *pipeline) sendShard(shard, lo, hi int) {
 // processSender validates, accounts, digests and routes one sender's
 // round outbox. It runs on whichever worker owns the sender's shard and
 // touches only that worker's private state plus lane[u].
+//
+// Routing reads the port table once per sender: the clique (nil table)
+// stays pure arithmetic, a compiled topology is two int32 loads per
+// message — one predictable branch, no div/mod and no search.
 func (p *pipeline) processSender(wk *delivWorker, u int, outbox []Send) {
 	e := p.e
 	n := e.cfg.N
 	round := p.round
+	table := e.ports
+	deg := n - 1
+	var peer, aport []int32
+	if table != nil {
+		lo, hi := table.row[u], table.row[u+1]
+		deg = int(hi - lo)
+		peer, aport = table.peer[lo:hi], table.aport[lo:hi]
+	}
 	crashing := p.crashing[u]
 	var keep []bool
 	if crashing {
@@ -466,8 +488,11 @@ func (p *pipeline) processSender(wk *delivWorker, u int, outbox []Send) {
 	lane := laneInit()
 	events := 0
 	for i, s := range outbox {
-		if s.Port < 1 || s.Port >= n {
+		if s.Port < 1 || s.Port > deg {
 			reason := fmt.Sprintf("port %d out of range", s.Port)
+			if table != nil {
+				reason = fmt.Sprintf("port %d out of range [1,%d]", s.Port, deg)
+			}
 			if traced {
 				p.tevs[u] = append(p.tevs[u], tev{op: tevViolation, port: int32(s.Port), reason: reason})
 			}
@@ -518,25 +543,26 @@ func (p *pipeline) processSender(wk *delivWorker, u int, outbox []Send) {
 		if traced {
 			p.tevs[u] = append(p.tevs[u], tev{op: tevSend, port: int32(s.Port), bits: int32(sz), kind: kid})
 		}
-		// With 1 <= Port < n already validated, Peer and ArrivalPort
-		// reduce to a compare-subtract and a subtract — no div/mod on the
-		// per-message path.
-		v := u + s.Port
-		if v >= n {
-			v -= n
+		// With 1 <= Port <= deg already validated, the clique's Peer and
+		// ArrivalPort reduce to a compare-subtract and a subtract.
+		var v int
+		var d Delivery
+		if table == nil {
+			v = u + s.Port
+			if v >= n {
+				v -= n
+			}
+			d = Delivery{Port: n - s.Port, Payload: s.Payload}
+		} else {
+			v = int(peer[s.Port-1])
+			d = Delivery{Port: int(aport[s.Port-1]), Payload: s.Payload}
 		}
-		d := Delivery{Port: n - s.Port, Payload: s.Payload}
 		rs := v >> p.shift
 		buckets[rs] = append(buckets[rs], routed{to: int32(v), d: d})
-		if e.trace != nil {
-			// Trace recording forces a single-lane pipeline (see Run), so
-			// this call stays on one goroutine in (sender, index) order.
-			e.trace.noteSend(u, v, round)
-		}
 	}
 	if checkDup {
 		for _, s := range outbox {
-			if s.Port >= 1 && s.Port < n {
+			if s.Port >= 1 && s.Port <= deg {
 				wk.portSeen[uint(s.Port)>>6] &^= uint64(1) << (uint(s.Port) & 63)
 			}
 		}

@@ -31,7 +31,6 @@
 package realnet
 
 import (
-	"errors"
 	"fmt"
 	"net"
 
@@ -40,9 +39,7 @@ import (
 
 // Config parameterises a socket run. The fields mirror netsim.Config;
 // Workers has no meaning here (concurrency is one goroutine or process
-// per node by construction) and Record is unsupported — the message
-// trace for influence-cloud analysis would require shipping full
-// payload provenance through the hub.
+// per node by construction).
 type Config struct {
 	// N is the number of nodes. Required, >= 2.
 	N int
@@ -97,9 +94,6 @@ func (cfg *Config) validate(machines int) error {
 
 func init() {
 	netsim.RegisterEngine(netsim.RealNet, "realnet", func(cfg netsim.Config, machines []netsim.Machine, adv netsim.Adversary) (*netsim.Result, error) {
-		if cfg.Record {
-			return nil, errors.New("realnet: Record (message tracing for influence clouds) is not supported over sockets")
-		}
 		return Run(Config{
 			N:             cfg.N,
 			Alpha:         cfg.Alpha,

@@ -275,18 +275,6 @@ func TestRevenantRejected(t *testing.T) {
 	}
 }
 
-// TestRecordModeRejected: the influence-cloud message trace cannot be
-// captured over sockets; asking for it must fail loudly, not silently
-// return an un-analysable result.
-func TestRecordModeRejected(t *testing.T) {
-	_, err := netsim.Execute(netsim.RealNet, netsim.Config{
-		N: 4, Alpha: 0.5, Seed: 1, MaxRounds: 2, Record: true,
-	}, chatterMachines(4, 0), nil)
-	if err == nil || !strings.Contains(err.Error(), "not supported") {
-		t.Fatalf("Record over sockets: got %v, want unsupported error", err)
-	}
-}
-
 // TestConfigValidation covers the constructor-style checks.
 func TestConfigValidation(t *testing.T) {
 	if _, err := realnet.Run(realnet.Config{N: 1, Alpha: 0.5, MaxRounds: 1}, chatterMachines(1, 0)); err == nil {

@@ -2,11 +2,8 @@ package topo
 
 import (
 	"fmt"
-	"runtime"
 
-	"sublinear/internal/metrics"
 	"sublinear/internal/netsim"
-	"sublinear/internal/rng"
 )
 
 // Config parameterises a topology-general run. It mirrors netsim.Config
@@ -39,191 +36,24 @@ type Config struct {
 	Tracer netsim.Tracer
 }
 
-func (c *Config) validate() error {
-	if c.Topology == nil {
-		return fmt.Errorf("topo: config Topology is required")
-	}
-	if c.Topology.n < 2 {
-		return fmt.Errorf("topo: topology has %d nodes, need >= 2", c.Topology.n)
-	}
-	if !(c.Alpha > 0 && c.Alpha <= 1) {
-		return fmt.Errorf("topo: config Alpha = %v, need (0,1]", c.Alpha)
-	}
-	if c.MaxRounds < 1 {
-		return fmt.Errorf("topo: config MaxRounds must be >= 1")
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("topo: config Workers = %d, need >= 0", c.Workers)
-	}
-	return nil
-}
-
-// engine executes one run. It is the topology-general twin of
-// netsim.Engine: same round structure, adversary call sequence, digest
-// folds, and Tracer contract, with routing resolved through the CSR port
-// table instead of the clique arithmetic.
-type engine struct {
-	cfg      Config
-	t        *Topology
-	machines []netsim.Machine
-	adv      netsim.Adversary
-
-	envs      []*netsim.Env
-	crashedAt []int
-
-	counters   metrics.Counters
-	violations []netsim.Violation
-	bitBudget  int
-	digest     *netsim.EngineDigest
-}
-
 // Run executes machines on cfg.Topology under the adversary (nil means
-// no faults) and returns a netsim.Result whose Digest follows the shared
-// schema: for the clique topology it is byte-equal to the netsim
-// engines' digest of the same (n, seed, machines, adversary) run.
+// no faults) on netsim's delivery pipeline, routed through the
+// topology's port table (netsim.ExecuteOn). The Result's Digest follows
+// the shared schema: for a clique topology it is byte-equal to the
+// netsim engines' digest of the same (n, seed, machines, adversary) run.
 func Run(cfg Config, machines []netsim.Machine, adv netsim.Adversary) (*netsim.Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	t := cfg.Topology
-	n := t.n
-	if len(machines) != n {
-		return nil, fmt.Errorf("topo: %d machines for n=%d", len(machines), n)
+	if t == nil {
+		return nil, fmt.Errorf("topo: config Topology is required")
 	}
-	for u, m := range machines {
-		if m == nil {
-			return nil, fmt.Errorf("topo: machine %d is nil", u)
-		}
-	}
-	if adv == nil {
-		adv = netsim.NoFaults{}
-	}
-	e := &engine{
-		cfg:       cfg,
-		t:         t,
-		machines:  machines,
-		adv:       adv,
-		envs:      make([]*netsim.Env, n),
-		crashedAt: make([]int, n),
-		bitBudget: netsim.PerMessageBudget(n, cfg.CongestFactor),
-		digest:    netsim.NewEngineDigest(),
-	}
-	e.counters.ReserveRounds(cfg.MaxRounds)
-	e.counters.ReserveKinds(metrics.KindCount())
-	root := rng.New(cfg.Seed)
-	for u := 0; u < n; u++ {
-		env := netsim.NewEnv(n, u, cfg.Alpha, root.Split(uint64(u)), cfg.Tracer != nil)
-		env.Deg = t.Degree(u)
-		e.envs[u] = env
-	}
-	return e.run()
-}
-
-func (e *engine) run() (*netsim.Result, error) {
-	n := e.t.n
-	workers := e.cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pipe := newPipeline(e, workers)
-	defer pipe.close()
-
-	// The faulty set is static; consult it once. When no live faulty node
-	// remains, every remaining round runs on the fused single-barrier
-	// path — the same amortization netsim performs.
-	liveFaulty := 0
-	for u := 0; u < n; u++ {
-		if e.adv.Faulty(u) {
-			pipe.faulty[u] = true
-			liveFaulty++
-		}
-	}
-	planner, _ := e.adv.(netsim.CrashPlanner)
-	windowEnd := 0
-
-	for round := 1; round <= e.cfg.MaxRounds; round++ {
-		e.counters.BeginRound(round)
-		e.digest.Round(round)
-		if e.cfg.Tracer != nil {
-			e.cfg.Tracer.TraceRound(round)
-		}
-
-		crashPossible := liveFaulty > 0
-		if crashPossible && planner != nil {
-			if round >= windowEnd {
-				windowEnd = planner.NextCrashRound(round)
-				if windowEnd < round {
-					windowEnd = round
-				}
-			}
-			crashPossible = round >= windowEnd
-		}
-
-		if crashPossible {
-			pipe.deliverStep(round)
-			liveFaulty -= pipe.crashPass(round)
-			pipe.senders(round)
-		} else {
-			pipe.fusedRound(round)
-		}
-
-		inFlight, err := pipe.merge(round)
-		if err != nil {
-			return nil, err
-		}
-		if !inFlight && e.allQuiet() {
-			break
-		}
-	}
-	return e.result(), nil
-}
-
-// stepOne runs machine u for the round, or returns nil if it is crashed.
-// Done machines keep being stepped (Done means "will not send unless
-// spoken to", not "halted") — the netsim contract.
-func (e *engine) stepOne(u, round int, inbox []netsim.Delivery) []netsim.Send {
-	if e.crashedAt[u] != 0 {
-		return nil
-	}
-	out := e.machines[u].Step(e.envs[u], round, inbox)
-	if out == nil {
-		return emptyOutbox
-	}
-	return out
-}
-
-// emptyOutbox distinguishes "stepped, sent nothing" from "did not step".
-var emptyOutbox = make([]netsim.Send, 0)
-
-func (e *engine) allQuiet() bool {
-	for u := range e.machines {
-		if e.crashedAt[u] != 0 {
-			continue
-		}
-		if !e.machines[u].Done() {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *engine) result() *netsim.Result {
-	sum := e.digest.Outcome(e.counters.Rounds(), e.counters.Messages(), e.counters.Bits())
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.TraceFinish(e.counters.Rounds(), e.counters.Messages(), e.counters.Bits(), sum)
-	}
-	res := &netsim.Result{
-		Digest:     sum,
-		Outputs:    make([]any, e.t.n),
-		CrashedAt:  append([]int(nil), e.crashedAt...),
-		Faulty:     make([]bool, e.t.n),
-		Rounds:     e.counters.Rounds(),
-		Counters:   &e.counters,
-		Violations: e.violations,
-	}
-	for u, m := range e.machines {
-		res.Outputs[u] = m.Output()
-		res.Faulty[u] = e.adv.Faulty(u)
-	}
-	return res
+	return netsim.ExecuteOn(t.ports, netsim.Config{
+		N:             t.n,
+		Alpha:         cfg.Alpha,
+		Seed:          cfg.Seed,
+		MaxRounds:     cfg.MaxRounds,
+		CongestFactor: cfg.CongestFactor,
+		Strict:        cfg.Strict,
+		Workers:       cfg.Workers,
+		Tracer:        cfg.Tracer,
+	}, machines, adv)
 }

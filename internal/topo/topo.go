@@ -1,18 +1,18 @@
-// Package topo is the topology-general delivery engine: the sharded,
-// allocation-free pipeline of internal/netsim generalized from the
-// complete network to arbitrary connected graphs (the paper's open
-// problem 2 and the setting of the diameter-two and well-connected
-// election papers in PAPERS.md).
+// Package topo runs protocols on arbitrary connected graphs (the
+// paper's open problem 2 and the setting of the diameter-two and
+// well-connected election papers in PAPERS.md).
 //
 // A graph.Graph is compiled once into a Topology — a compressed-sparse-
-// row (CSR) port table — and executions run on the same round structure,
-// adversary contract, CONGEST accounting, digest schema, and Tracer
-// event stream as the clique simulator. The clique itself is just one
-// Topology (Clique), wired exactly like netsim's fixed port permutation
-// and registered as a first-class netsim.RunMode (CliqueMode), so the
-// dst harness differentially checks this engine against the clique
-// pipeline on every system: byte-identical digests or the differential
-// fails.
+// row (CSR) port table, netsim.Ports — and Run executes on netsim's one
+// delivery pipeline, which routes through the table instead of the
+// clique's arithmetic wiring. Round structure, adversary contract,
+// CONGEST accounting, digest schema and Tracer event stream are
+// therefore the clique simulator's by construction. The clique itself
+// is the Topology with no table (Clique); its compiled twin,
+// graph.CliquePorts through Compile, is registered as a netsim.RunMode
+// (CliqueMode), so the dst harness checks the table router against the
+// arithmetic one on every system: byte-identical digests or the
+// differential fails.
 //
 // The only model difference from netsim is the port space: node u has
 // ports 1..Degree(u) following the topology instead of 1..n-1. Per-edge
@@ -24,34 +24,29 @@ import (
 	"fmt"
 
 	"sublinear/internal/graph"
+	"sublinear/internal/netsim"
 )
 
-// Topology is a compiled, immutable port-numbered adjacency. The CSR
-// layout stores, for every node u and local port p in 1..Degree(u), the
-// peer node behind the port and the arrival port on which the peer
-// receives — both resolved at compile time, so the per-message hot path
-// is two int32 loads with no search. The clique is special-cased to the
-// arithmetic wiring (peer = (u+p) mod n, arrival = n-p) and carries no
-// arrays at all.
+// Topology is a compiled, immutable port-numbered adjacency: a named
+// netsim.Ports table, or no table at all for the clique, which routes
+// by arithmetic (peer = (u+p) mod n, arrival = n-p).
 type Topology struct {
-	n      int
-	name   string
-	clique bool
-	maxDeg int
-	row    []int32 // len n+1; node u's port entries occupy [row[u], row[u+1])
-	peer   []int32 // peer[row[u]+p-1] is the node behind port p of u
-	aport  []int32 // aport[row[u]+p-1] is the arrival port at that peer
+	n     int
+	name  string
+	ports *netsim.Ports // nil for the arithmetic clique
 }
 
 // Compile builds the CSR port table of g. Ports keep the graph's own
 // numbering, so a protocol's execution on the compiled topology is
-// identical to one driven through graph.Graph directly.
+// identical to one driven through graph.Graph directly. Every port must
+// have a reverse port leading back to its own node: replies travel on
+// arrival ports, so a one-sided edge would deliver them elsewhere.
 func Compile(g graph.Graph) (*Topology, error) {
 	n := g.N()
 	if n < 2 {
 		return nil, fmt.Errorf("topo: graph has %d nodes, need >= 2", n)
 	}
-	t := &Topology{n: n, name: g.Name(), row: make([]int32, n+1)}
+	row := make([]int32, n+1)
 	total := 0
 	for u := 0; u < n; u++ {
 		d := g.Degree(u)
@@ -59,37 +54,39 @@ func Compile(g graph.Graph) (*Topology, error) {
 			return nil, fmt.Errorf("topo: node %d has degree 0", u)
 		}
 		total += d
-		t.row[u+1] = int32(total)
-		if d > t.maxDeg {
-			t.maxDeg = d
-		}
+		row[u+1] = int32(total)
 	}
-	t.peer = make([]int32, total)
-	t.aport = make([]int32, total)
+	peer := make([]int32, total)
+	aport := make([]int32, total)
 	for u := 0; u < n; u++ {
-		base := t.row[u]
-		for p := 1; p <= g.Degree(u); p++ {
+		base := row[u]
+		for i := base; i < row[u+1]; i++ {
+			p := int(i-base) + 1
 			v := g.Neighbor(u, p)
 			if v < 0 || v >= n || v == u {
 				return nil, fmt.Errorf("topo: Neighbor(%d,%d) = %d is invalid", u, p, v)
 			}
 			ap := g.PortOf(v, u)
-			if ap < 1 || ap > g.Degree(v) {
+			if ap < 1 || ap > int(row[v+1]-row[v]) || g.Neighbor(v, ap) != u {
 				return nil, fmt.Errorf("topo: edge (%d,%d) has no reverse port", u, v)
 			}
-			t.peer[base+int32(p)-1] = int32(v)
-			t.aport[base+int32(p)-1] = int32(ap)
+			peer[i] = int32(v)
+			aport[i] = int32(ap)
 		}
 	}
-	return t, nil
+	ports, err := netsim.NewPorts(row, peer, aport)
+	if err != nil {
+		return nil, err
+	}
+	return &Topology{n: n, name: g.Name(), ports: ports}, nil
 }
 
 // Clique returns the complete topology on n nodes with netsim's fixed
-// port wiring (port p of u leads to (u+p) mod n). It stores no adjacency
-// arrays: routing is pure arithmetic, so the clique instance costs the
-// same per message as the netsim pipeline it mirrors.
+// port wiring (port p of u leads to (u+p) mod n). It stores no table:
+// routing is pure arithmetic, the very code path of the clique
+// simulator.
 func Clique(n int) *Topology {
-	return &Topology{n: n, name: "clique", clique: true, maxDeg: n - 1}
+	return &Topology{n: n, name: "clique"}
 }
 
 // N returns the number of nodes.
@@ -99,39 +96,43 @@ func (t *Topology) N() int { return t.n }
 func (t *Topology) Name() string { return t.name }
 
 // MaxDegree returns the maximum node degree.
-func (t *Topology) MaxDegree() int { return t.maxDeg }
+func (t *Topology) MaxDegree() int {
+	if t.ports == nil {
+		return t.n - 1
+	}
+	return t.ports.MaxDegree()
+}
 
 // Degree returns the degree of node u — the number of its local ports.
 func (t *Topology) Degree(u int) int {
-	if t.clique {
+	if t.ports == nil {
 		return t.n - 1
 	}
-	return int(t.row[u+1] - t.row[u])
+	return t.ports.Degree(u)
 }
 
 // Ports returns the total directed port count (twice the edge count).
 func (t *Topology) Ports() int64 {
-	if t.clique {
+	if t.ports == nil {
 		return int64(t.n) * int64(t.n-1)
 	}
-	return int64(len(t.peer))
+	return int64(t.ports.Len())
 }
 
 // Edge resolves port p of node u: the peer node and the arrival port the
 // peer receives on. p must be in 1..Degree(u).
 func (t *Topology) Edge(u, p int) (peer, arrival int) {
-	if p < 1 || p > t.Degree(u) {
-		panic(fmt.Sprintf("topo: port %d out of range [1,%d] at node %d", p, t.Degree(u), u))
+	if t.ports != nil {
+		return t.ports.Edge(u, p)
 	}
-	if t.clique {
-		v := u + p
-		if v >= t.n {
-			v -= t.n
-		}
-		return v, t.n - p
+	if p < 1 || p > t.n-1 {
+		panic(fmt.Sprintf("topo: port %d out of range [1,%d] at node %d", p, t.n-1, u))
 	}
-	i := t.row[u] + int32(p) - 1
-	return int(t.peer[i]), int(t.aport[i])
+	v := u + p
+	if v >= t.n {
+		v -= t.n
+	}
+	return v, t.n - p
 }
 
 // Diameter returns the topology's diameter by breadth-first search from
@@ -139,11 +140,8 @@ func (t *Topology) Edge(u, p int) (peer, arrival int) {
 // round budget depends on the diameter (the well-connected election);
 // compile-time, never on the per-round path.
 func (t *Topology) Diameter() int {
-	if t.clique {
-		if t.n <= 1 {
-			return 0
-		}
-		return 1
+	if t.ports == nil {
+		return min(t.n-1, 1)
 	}
 	dist := make([]int32, t.n)
 	queue := make([]int32, 0, t.n)
@@ -155,15 +153,13 @@ func (t *Topology) Diameter() int {
 		dist[s] = 0
 		queue = append(queue[:0], int32(s))
 		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			if int(dist[u]) > diam {
-				diam = int(dist[u])
-			}
-			for i := t.row[u]; i < t.row[u+1]; i++ {
-				v := t.peer[i]
+			u := int(queue[head])
+			diam = max(diam, int(dist[u]))
+			for p := 1; p <= t.ports.Degree(u); p++ {
+				v, _ := t.ports.Edge(u, p)
 				if dist[v] < 0 {
 					dist[v] = dist[u] + 1
-					queue = append(queue, v)
+					queue = append(queue, int32(v))
 				}
 			}
 		}

@@ -76,12 +76,22 @@ func machinesOf(n int, build func() netsim.Machine) []netsim.Machine {
 }
 
 // TestCliqueParityWithNetsim is the registration contract: the clique
-// instance of the topology engine must reproduce the netsim engines'
-// executions byte-for-byte — digest, counters, rounds, outputs — for
-// the same (n, seed, machines, adversary), fault-free and crashing,
-// at several worker counts and through the netsim.Execute dispatch.
+// topologies must reproduce the netsim engines' executions
+// byte-for-byte — digest, counters, rounds — for the same (n, seed,
+// machines, adversary), fault-free and crashing, at several worker
+// counts and through the netsim.Execute dispatch. Both clique
+// topologies run: the arithmetic one (no table) and the compiled one,
+// whose CSR table holds the same wiring.
 func TestCliqueParityWithNetsim(t *testing.T) {
 	const n, rounds = 64, 20
+	g, err := graph.CliquePorts(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		adv  netsim.Adversary
@@ -96,18 +106,20 @@ func TestCliqueParityWithNetsim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 4, 0} {
-				res, err := Run(Config{Topology: Clique(n), Alpha: 1, Seed: 42, MaxRounds: rounds, Workers: workers},
-					machinesOf(n, func() netsim.Machine { return &randPingMachine{} }), tc.adv)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Digest != ref.Digest {
-					t.Errorf("workers=%d: digest %#x, want %#x", workers, res.Digest, ref.Digest)
-				}
-				if res.Counters.Messages() != ref.Counters.Messages() || res.Rounds != ref.Rounds {
-					t.Errorf("workers=%d: (msgs,rounds) = (%d,%d), want (%d,%d)", workers,
-						res.Counters.Messages(), res.Rounds, ref.Counters.Messages(), ref.Rounds)
+			for _, tp := range []*Topology{Clique(n), compiled} {
+				for _, workers := range []int{1, 2, 4, 0} {
+					res, err := Run(Config{Topology: tp, Alpha: 1, Seed: 42, MaxRounds: rounds, Workers: workers},
+						machinesOf(n, func() netsim.Machine { return &randPingMachine{} }), tc.adv)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Digest != ref.Digest {
+						t.Errorf("table=%v workers=%d: digest %#x, want %#x", tp.ports != nil, workers, res.Digest, ref.Digest)
+					}
+					if res.Counters.Messages() != ref.Counters.Messages() || res.Rounds != ref.Rounds {
+						t.Errorf("table=%v workers=%d: (msgs,rounds) = (%d,%d), want (%d,%d)", tp.ports != nil, workers,
+							res.Counters.Messages(), res.Rounds, ref.Counters.Messages(), ref.Rounds)
+					}
 				}
 			}
 			res, err := netsim.Execute(CliqueMode,
@@ -417,14 +429,46 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(Config{Topology: tp, Alpha: 1, MaxRounds: 1, Workers: -1}, ms, nil); err == nil {
 		t.Error("negative workers accepted")
 	}
-}
-
-// TestCompileRejectsBrokenGraphs covers Compile's validation.
-func TestCompileRejectsBrokenGraphs(t *testing.T) {
-	if _, err := Compile(brokenGraph{}); err == nil {
-		t.Error("asymmetric graph compiled")
+	if _, err := Run(Config{Topology: tp, Alpha: 1, MaxRounds: 1}, make([]netsim.Machine, 4), nil); err == nil {
+		t.Error("nil machines accepted")
 	}
 }
+
+// TestCompileRejectsBrokenGraphs covers Compile's validation: a port
+// with no reverse port, and a reverse port that is in range but leads
+// to some other node, which would deliver replies to the wrong node.
+func TestCompileRejectsBrokenGraphs(t *testing.T) {
+	for _, g := range []graph.Graph{brokenGraph{}, misroutedGraph{}} {
+		if _, err := Compile(g); err == nil {
+			t.Errorf("%s graph compiled", g.Name())
+		}
+	}
+}
+
+// misroutedGraph is the 3-node path 0 - 1 - 2 whose PortOf(1, 0)
+// answers port 2, which is in range but leads to node 2.
+type misroutedGraph struct{}
+
+func (misroutedGraph) N() int { return 3 }
+func (misroutedGraph) Degree(u int) int {
+	if u == 1 {
+		return 2
+	}
+	return 1
+}
+func (misroutedGraph) Neighbor(u, p int) int {
+	if u == 1 {
+		return 2 * (p - 1) // port 1 -> 0, port 2 -> 2
+	}
+	return 1
+}
+func (misroutedGraph) PortOf(u, v int) int {
+	if u == 1 {
+		return 2 // broken for v = 0: port 2 leads to node 2
+	}
+	return 1
+}
+func (misroutedGraph) Name() string { return "misrouted" }
 
 // brokenGraph claims an edge 0->1 with no reverse port.
 type brokenGraph struct{}
@@ -502,7 +546,7 @@ func TestResolveTopology(t *testing.T) {
 	if _, err := ResolveTopology("nope", 16, 3); err == nil {
 		t.Error("unknown topology accepted")
 	}
-	if tp, err := ResolveTopology("", 8, 0); err != nil || !tp.clique {
+	if tp, err := ResolveTopology("", 8, 0); err != nil || tp.ports != nil {
 		t.Errorf("empty name should resolve to clique, got %v, %v", tp, err)
 	}
 }

@@ -120,13 +120,11 @@ type Options struct {
 	// schedule. Intended for modest n (every round is n socket
 	// round-trips). Overrides Concurrent and Actors.
 	TCP bool
-	// Record keeps the message trace (needed for influence-cloud
-	// analysis; costs memory). Not available over TCP.
-	Record bool
 	// Tracer streams every engine event to an execution flight
-	// recorder (see internal/trace and cmd/tracectl). Unlike Record it
-	// works at any worker count and costs nothing when nil. Honored by
-	// every mode including TCP, which emits the identical event stream.
+	// recorder (see internal/trace and cmd/tracectl) or to the
+	// influence-cloud recorder (internal/cloud). It works at any worker
+	// count and costs nothing when nil. Honored by every mode including
+	// TCP, which emits the identical event stream.
 	Tracer Tracer
 }
 
@@ -244,7 +242,6 @@ func (opts Options) runConfig() (core.RunConfig, error) {
 		Alpha:      opts.Alpha,
 		Seed:       opts.Seed,
 		Params:     params,
-		Record:     opts.Record,
 		Tracer:     opts.Tracer,
 		Concurrent: opts.Concurrent,
 	}

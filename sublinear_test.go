@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sublinear"
+	"sublinear/internal/cloud"
 )
 
 func TestElectHappyPath(t *testing.T) {
@@ -114,19 +115,20 @@ func TestExplicitOptionPropagates(t *testing.T) {
 }
 
 func TestRecordOptionKeepsTrace(t *testing.T) {
-	res, err := sublinear.Elect(sublinear.Options{N: 128, Alpha: 0.75, Seed: 3, Record: true})
+	rec := cloud.NewRecorder(128)
+	res, err := sublinear.Elect(sublinear.Options{N: 128, Alpha: 0.75, Seed: 3, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || res.Trace.EdgeCount() == 0 {
-		t.Fatal("trace missing or empty")
+	if rec.EdgeCount() == 0 {
+		t.Fatal("influence-cloud recording is empty")
 	}
-	noTrace, err := sublinear.Elect(sublinear.Options{N: 128, Alpha: 0.75, Seed: 3})
+	plain, err := sublinear.Elect(sublinear.Options{N: 128, Alpha: 0.75, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if noTrace.Trace != nil {
-		t.Fatal("trace present without Record")
+	if plain.Digest != res.Digest {
+		t.Fatalf("recording changed the execution: digest %#x, unrecorded %#x", res.Digest, plain.Digest)
 	}
 }
 
