@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"sublinear/internal/netsim"
 	"sublinear/internal/rng"
 )
@@ -119,7 +121,10 @@ type electionMachine struct {
 	stats ElectionNodeStats
 }
 
-var _ netsim.Machine = (*electionMachine)(nil)
+var (
+	_ netsim.Machine = (*electionMachine)(nil)
+	_ netsim.Sleeper = (*electionMachine)(nil)
+)
 
 func newElectionMachine(d derived) *electionMachine {
 	m := &electionMachine{d: d}
@@ -386,6 +391,15 @@ func (m *electionMachine) announce(env *netsim.Env) []netsim.Send {
 	return sends
 }
 
+// NextWake implements netsim.Sleeper. Candidates run timers and step
+// every round, and so does any node with queued sends. Everyone else
+// acts only on deliveries until the schedule's fixed rounds: after the
+// round-1 draw it steps in round 2 (EarlyStop's lastRound >= 2), then
+// sleeps until the announce round, then until endRound.
+func (m *electionMachine) NextWake(round int) int {
+	return sleepUntil(round, m.isCandidate || !m.out.Empty(), m.announceR, m.endRound)
+}
+
 func (m *electionMachine) Done() bool {
 	if m.lastRound >= m.endRound {
 		return true
@@ -426,6 +440,23 @@ func (m *electionMachine) Output() any {
 		out.LeaderRank = m.announced
 	}
 	return out
+}
+
+// sleepUntil is the wake rule the core machines share. A busy node (a
+// candidate, or one with queued sends) steps next round, and so does
+// every node after its round-1 step. An idle node sleeps until the next
+// of the schedule's fixed rounds — announce (0 when implicit), then
+// end — and never wakes again after the end.
+func sleepUntil(round int, busy bool, announce, end int) int {
+	switch {
+	case busy || round == 1:
+		return round + 1
+	case announce > round:
+		return announce
+	case end > round:
+		return end
+	}
+	return math.MaxInt
 }
 
 func intCeil(x float64) int {

@@ -39,11 +39,15 @@ const (
 type Plan struct {
 	faulty     []bool
 	crashRound []int // 0 = never crashes
+	byRound    crashIndex
 	policy     DropPolicy
 	coin       *rng.Source
 }
 
-var _ netsim.Adversary = (*Plan)(nil)
+var (
+	_ netsim.Adversary   = (*Plan)(nil)
+	_ netsim.CrashLister = (*Plan)(nil)
+)
 
 // NewRandomPlan selects f faulty nodes uniformly at random, assigns each a
 // uniform crash round in [1, horizon], and applies the given drop policy.
@@ -66,6 +70,7 @@ func NewRandomPlan(n, f, horizon int, policy DropPolicy, src *rng.Source) (*Plan
 		p.faulty[u] = true
 		p.crashRound[u] = 1 + src.Intn(horizon)
 	}
+	p.byRound = newCrashIndex(p.crashRound)
 	return p, nil
 }
 
@@ -113,6 +118,7 @@ func NewLateCrashPlan(n, f, round int, src *rng.Source) (*Plan, error) {
 		p.faulty[u] = true
 		p.crashRound[u] = round
 	}
+	p.byRound = newCrashIndex(p.crashRound)
 	return p, nil
 }
 
@@ -133,6 +139,7 @@ func NewTargetedPlan(n int, crashRound map[int]int, policy DropPolicy, src *rng.
 		p.faulty[u] = true
 		p.crashRound[u] = r
 	}
+	p.byRound = newCrashIndex(p.crashRound)
 	return p, nil
 }
 
@@ -152,6 +159,12 @@ func (p *Plan) Faulty(node int) bool { return p.faulty[node] }
 func (p *Plan) CrashNow(node, round int, _ []netsim.Send) bool {
 	return p.crashRound[node] != 0 && round >= p.crashRound[node]
 }
+
+// CrashesIn implements netsim.CrashLister. The engine consults every
+// live faulty node every round until it crashes, so a node crashes in
+// exactly its scheduled round: the nodes scheduled for round are the
+// only ones CrashNow can crash in it.
+func (p *Plan) CrashesIn(round int) []int { return p.byRound.in(round) }
 
 // DeliverOnCrash applies the plan's drop policy.
 func (p *Plan) DeliverOnCrash(_, _, msgIndex int, _ netsim.Send) bool {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"testing"
 
 	"sublinear/internal/netsim"
@@ -183,6 +184,39 @@ func TestTargetedPlan(t *testing.T) {
 	}
 	if !p.CrashNow(7, 6, nil) {
 		t.Fatal("CrashNow must fire at or after the scheduled round")
+	}
+}
+
+// TestPlanCrashesIn pins Plan's CrashLister against its CrashNow: in
+// every round, the listed nodes are exactly, in ascending order, the
+// faulty nodes whose CrashNow first returns true in that round, for
+// every plan constructor.
+func TestPlanCrashesIn(t *testing.T) {
+	const n, horizon = 200, 12
+	plans := map[string]*Plan{
+		"random":   Must(NewRandomPlan(n, 90, horizon, DropHalf, rng.New(5))),
+		"late":     Must(NewLateCrashPlan(n, 30, 7, rng.New(6))),
+		"targeted": Must(NewTargetedPlan(n, map[int]int{150: 3, 4: 3, 77: 9, 5: 1}, DropAll, rng.New(7))),
+		"none":     Must(NewRandomPlan(n, 0, horizon, DropAll, rng.New(8))),
+	}
+	for name, p := range plans {
+		listed := 0
+		for r := 1; r <= horizon+2; r++ {
+			var want []int
+			for u := 0; u < n; u++ {
+				if p.Faulty(u) && p.CrashNow(u, r, nil) && !p.CrashNow(u, r-1, nil) {
+					want = append(want, u)
+				}
+			}
+			got := p.CrashesIn(r)
+			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Errorf("%s: CrashesIn(%d) = %v, want %v", name, r, got, want)
+			}
+			listed += len(got)
+		}
+		if listed != p.FaultyCount() {
+			t.Errorf("%s: %d nodes listed over the run, %d faulty", name, listed, p.FaultyCount())
+		}
 	}
 }
 

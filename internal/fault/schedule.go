@@ -1,9 +1,11 @@
 package fault
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sublinear/internal/netsim"
@@ -90,6 +92,7 @@ func (s Schedule) Adversary() (*ScheduleAdversary, error) {
 		a.round[c.Node] = c.Round
 		a.policy[c.Node] = c.Policy
 	}
+	a.byRound = newCrashIndex(a.round)
 	return a, nil
 }
 
@@ -103,12 +106,19 @@ type ScheduleAdversary struct {
 	// engine never re-consults a crashed node, so NextCrashRound must
 	// treat these as spent.
 	fired []bool
-	coin  *rng.Source
+	// byRound indexes the schedule by crash round; it answers both
+	// CrashesIn and NextCrashRound. unfired is the position of the first
+	// entry not yet fired: fired only ever turns true, so it only moves
+	// forward.
+	byRound crashIndex
+	unfired int
+	coin    *rng.Source
 }
 
 var (
 	_ netsim.Adversary    = (*ScheduleAdversary)(nil)
 	_ netsim.CrashPlanner = (*ScheduleAdversary)(nil)
+	_ netsim.CrashLister  = (*ScheduleAdversary)(nil)
 )
 
 // Faulty reports whether node is scheduled to crash.
@@ -129,19 +139,57 @@ func (a *ScheduleAdversary) CrashNow(node, round int, _ []netsim.Send) bool {
 // the current round). With every scheduled crash spent it returns
 // math.MaxInt, promising the rest of the run crash-free.
 func (a *ScheduleAdversary) NextCrashRound(round int) int {
-	next := math.MaxInt
-	for u, r := range a.round {
-		if r == 0 || a.fired[u] {
-			continue
-		}
-		if r < round {
-			r = round
-		}
-		if r < next {
-			next = r
+	x := &a.byRound
+	for a.unfired < len(x.nodes) && a.fired[x.nodes[a.unfired]] {
+		a.unfired++
+	}
+	if a.unfired == len(x.nodes) {
+		return math.MaxInt
+	}
+	return max(x.rounds[a.unfired], round)
+}
+
+// CrashesIn implements netsim.CrashLister: the nodes scheduled for
+// round, in ascending order. A node whose scheduled round passed
+// without a consultation would still crash later, but the engine
+// consults every live faulty node in its scheduled round, so in an
+// engine run that never happens.
+func (a *ScheduleAdversary) CrashesIn(round int) []int { return a.byRound.in(round) }
+
+// crashIndex lists a fixed crash schedule by round: the scheduled nodes
+// sorted by (round, node), with each entry's round alongside, so the
+// nodes of one round are a contiguous, ascending run found by binary
+// search.
+type crashIndex struct {
+	nodes  []int
+	rounds []int
+}
+
+// newCrashIndex indexes round[u], the crash round of node u (0 = none).
+func newCrashIndex(round []int) crashIndex {
+	var x crashIndex
+	for u, r := range round {
+		if r != 0 {
+			x.nodes = append(x.nodes, u)
 		}
 	}
-	return next
+	slices.SortStableFunc(x.nodes, func(u, v int) int { return cmp.Compare(round[u], round[v]) })
+	x.rounds = make([]int, len(x.nodes))
+	for i, u := range x.nodes {
+		x.rounds[i] = round[u]
+	}
+	return x
+}
+
+// in returns the nodes scheduled for round r, ascending. The slice is
+// shared with the index; callers must not modify it.
+func (x *crashIndex) in(r int) []int {
+	lo, _ := slices.BinarySearch(x.rounds, r)
+	hi := lo
+	for hi < len(x.rounds) && x.rounds[hi] == r {
+		hi++
+	}
+	return x.nodes[lo:hi:hi]
 }
 
 // DeliverOnCrash applies the crashing node's scheduled drop policy.

@@ -175,6 +175,62 @@ func TestScheduleNextCrashRound(t *testing.T) {
 	}
 }
 
+// TestScheduleCrashIndex pins the per-round index behind both
+// CrashesIn and NextCrashRound: nodes listed per round in ascending
+// order whatever the schedule's order, fired crashes still listed (the
+// engine skips crashed nodes) but spent for NextCrashRound even when
+// they fire out of order, and nothing past the last scheduled round.
+func TestScheduleCrashIndex(t *testing.T) {
+	s := Schedule{N: 16, Crashes: []Crash{
+		{Node: 9, Round: 4, Policy: DropAll},
+		{Node: 2, Round: 6, Policy: DropNone},
+		{Node: 3, Round: 4, Policy: DropHalf},
+		{Node: 12, Round: 4, Policy: DropRandom},
+	}}
+	adv := Must(s.Adversary())
+	want := map[int][]int{4: {3, 9, 12}, 6: {2}}
+	for r := 0; r <= 10; r++ {
+		got := adv.CrashesIn(r)
+		if len(got) != len(want[r]) || (len(got) > 0 && !reflect.DeepEqual(got, want[r])) {
+			t.Errorf("CrashesIn(%d) = %v, want %v", r, got, want[r])
+		}
+	}
+	if got := adv.NextCrashRound(1); got != 4 {
+		t.Fatalf("NextCrashRound(1) = %d, want 4", got)
+	}
+	// Fire the round-6 crash first, out of schedule order: it is spent,
+	// but the unfired round-4 crashes still come first.
+	if !adv.CrashNow(2, 6, nil) {
+		t.Fatal("node 2 did not crash at its scheduled round")
+	}
+	if got := adv.NextCrashRound(2); got != 4 {
+		t.Fatalf("NextCrashRound(2) after node 2 fired = %d, want 4", got)
+	}
+	for _, u := range []int{3, 12} {
+		if !adv.CrashNow(u, 4, nil) {
+			t.Fatalf("node %d did not crash at round 4", u)
+		}
+	}
+	// One unfired crash is left, scheduled for a round already past: it
+	// would fire at once, so a round past the horizon clamps to itself.
+	if got := adv.NextCrashRound(50); got != 50 {
+		t.Fatalf("NextCrashRound(50) with node 9 unfired = %d, want 50", got)
+	}
+	if !reflect.DeepEqual(adv.CrashesIn(4), []int{3, 9, 12}) {
+		t.Fatalf("CrashesIn(4) after firing = %v, want every scheduled node", adv.CrashesIn(4))
+	}
+	if !adv.CrashNow(9, 5, nil) {
+		t.Fatal("node 9 did not crash after its scheduled round")
+	}
+	if got := adv.NextCrashRound(50); got != math.MaxInt {
+		t.Fatalf("NextCrashRound(50) with all crashes spent = %d, want math.MaxInt", got)
+	}
+	empty := Must(Schedule{N: 4}.Adversary())
+	if got := empty.NextCrashRound(1); got != math.MaxInt || len(empty.CrashesIn(1)) != 0 {
+		t.Fatalf("empty schedule: NextCrashRound = %d, CrashesIn = %v", got, empty.CrashesIn(1))
+	}
+}
+
 // chatter is a minimal machine that broadcasts every round, so crashes
 // and drop policies are visible in the message counts and digest.
 type chatter struct{ rounds int }
@@ -195,18 +251,26 @@ type pingPayload struct{}
 func (pingPayload) Bits(int) int { return 8 }
 func (pingPayload) Kind() string { return "ping" }
 
-// hidePlanner wraps a ScheduleAdversary so the engine sees only the base
-// Adversary interface: the CrashPlanner fast path is disabled and every
-// round takes the split crash-pass pipeline.
-type hidePlanner struct{ *ScheduleAdversary }
+// hideSchedule wraps a ScheduleAdversary so the engine sees only the
+// base Adversary interface: neither the CrashLister nor the CrashPlanner
+// fast path is taken, and every round consults every live faulty node.
+func hideSchedule(a *ScheduleAdversary) netsim.Adversary { return struct{ netsim.Adversary }{a} }
 
-func (h hidePlanner) Faulty(u int) bool { return h.ScheduleAdversary.Faulty(u) }
+// plannerOnly wraps a ScheduleAdversary so the engine sees its
+// CrashPlanner but not its CrashLister.
+func plannerOnly(a *ScheduleAdversary) netsim.Adversary {
+	return struct {
+		netsim.Adversary
+		netsim.CrashPlanner
+	}{a, a}
+}
 
 // TestSchedulePlannerDigestParity pins the engine's batched-barrier
-// contract: publishing crash-free windows via NextCrashRound must not
-// change the execution — digests, counters, and crash records stay
-// byte-identical to the per-round CrashNow consultation, across engine
-// modes and worker counts.
+// contract: publishing crash-free windows via NextCrashRound, or the
+// per-round crash lists of CrashesIn, must not change the execution —
+// digests, counters, and crash records stay byte-identical to the
+// per-round CrashNow consultation of every live faulty node, across
+// engine modes and worker counts.
 func TestSchedulePlannerDigestParity(t *testing.T) {
 	s := Schedule{N: 24, Seed: 9, Crashes: []Crash{
 		{Node: 2, Round: 2, Policy: DropHalf},
@@ -230,23 +294,22 @@ func TestSchedulePlannerDigestParity(t *testing.T) {
 		}
 		return res
 	}
-	ref := run(hidePlanner{Must(s.Adversary())}, netsim.Sequential, 1)
+	ref := run(hideSchedule(Must(s.Adversary())), netsim.Sequential, 1)
+	asIs := func(a *ScheduleAdversary) netsim.Adversary { return a }
 	for _, tc := range []struct {
 		name    string
-		planner bool
+		wrap    func(*ScheduleAdversary) netsim.Adversary
 		mode    netsim.RunMode
 		workers int
 	}{
-		{"planner/sequential", true, netsim.Sequential, 1},
-		{"planner/parallel-2", true, netsim.Parallel, 2},
-		{"planner/parallel-5", true, netsim.Parallel, 5},
-		{"hidden/parallel-3", false, netsim.Parallel, 3},
+		{"lister/sequential", asIs, netsim.Sequential, 1},
+		{"lister/parallel-2", asIs, netsim.Parallel, 2},
+		{"lister/parallel-5", asIs, netsim.Parallel, 5},
+		{"planner/sequential", plannerOnly, netsim.Sequential, 1},
+		{"planner/parallel-3", plannerOnly, netsim.Parallel, 3},
+		{"hidden/parallel-3", hideSchedule, netsim.Parallel, 3},
 	} {
-		var adv netsim.Adversary = Must(s.Adversary())
-		if !tc.planner {
-			adv = hidePlanner{Must(s.Adversary())}
-		}
-		got := run(adv, tc.mode, tc.workers)
+		got := run(tc.wrap(Must(s.Adversary())), tc.mode, tc.workers)
 		if got.Digest != ref.Digest {
 			t.Errorf("%s: digest %#x, want %#x", tc.name, got.Digest, ref.Digest)
 		}

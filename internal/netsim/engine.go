@@ -105,15 +105,20 @@ func ExecuteOn(ports *Ports, cfg Config, machines []Machine, adv Adversary) (*Re
 // model violations in strict mode.
 //
 // Every round delivers the previous round's messages, steps each live
-// machine, decides crashes, and processes the new outboxes — all on the
-// sharded pipeline (see shard.go). Adversary calls stay on the
-// coordination thread in node order, the per-message work fans out over
-// the worker pool, and everything order-sensitive folds back in node
-// order at the round barrier, so results are identical across modes and
-// worker counts. In rounds where no crash can occur — no live faulty
-// node remains, or a CrashPlanner adversary has published a crash-free
-// window — the three pipeline stages fuse into a single dispatch, so
-// the steady state pays one barrier per round instead of three.
+// machine that is awake (see Sleeper), decides crashes, and processes
+// the new outboxes — all on the sharded pipeline (see shard.go).
+// Adversary calls stay on the coordination thread in node order, the
+// per-message work fans out over the worker pool, and everything
+// order-sensitive folds back in node order at the round barrier, so
+// results are identical across modes and worker counts. In rounds
+// where no crash can occur — no live faulty node remains, a
+// CrashLister lists no node for the round, or a CrashPlanner adversary
+// has published a crash-free window — the three pipeline stages fuse
+// into a single dispatch, so the steady state pays one barrier per
+// round instead of three. Every stage visits only the round's awake
+// nodes — those with deliveries, machines that do not implement Sleeper,
+// and sleepers whose wake round has come — so a round costs time in
+// proportion to its activity rather than to n.
 func (e *Engine) Run() (*Result, error) {
 	n := e.cfg.N
 	mode := e.Mode
@@ -138,13 +143,14 @@ func (e *Engine) Run() (*Result, error) {
 	// up front. liveFaulty tracks how many faulty nodes have yet to
 	// crash: when it reaches zero no adversary call can change the
 	// execution and every remaining round runs on the fused path.
-	liveFaulty := 0
 	for u := 0; u < n; u++ {
 		if e.adv.Faulty(u) {
 			pipe.faulty[u] = true
-			liveFaulty++
+			pipe.liveFaulty = append(pipe.liveFaulty, int32(u))
 		}
 	}
+	liveFaulty := len(pipe.liveFaulty)
+	lister, _ := e.adv.(CrashLister)
 	planner, _ := e.adv.(CrashPlanner)
 	windowEnd := 0 // first round that needs a crash pass; recompute when reached
 
@@ -156,7 +162,13 @@ func (e *Engine) Run() (*Result, error) {
 		}
 
 		crashPossible := liveFaulty > 0
-		if crashPossible && planner != nil {
+		var listed []int
+		switch {
+		case !crashPossible:
+		case lister != nil:
+			listed = lister.CrashesIn(round)
+			crashPossible = len(listed) > 0
+		case planner != nil:
 			if round >= windowEnd {
 				windowEnd = planner.NextCrashRound(round)
 				if windowEnd < round {
@@ -168,7 +180,7 @@ func (e *Engine) Run() (*Result, error) {
 
 		if crashPossible {
 			pipe.deliverStep(round)
-			liveFaulty -= pipe.crashPass(round)
+			liveFaulty -= pipe.crashPass(round, listed)
 			pipe.senders(round)
 		} else {
 			pipe.fusedRound(round)
@@ -178,43 +190,15 @@ func (e *Engine) Run() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !inFlight && e.allQuiet() {
+		if !inFlight && pipe.quiet() {
 			break
 		}
 	}
 	return e.result(), nil
 }
 
-// stepOne runs machine u for the given round against the given inbox and
-// returns its outbox, or nil if the machine is crashed. Machines that
-// report Done keep being stepped: Done means "I will not send unless I
-// receive something", which matters for reactive roles (a referee acts
-// only when contacted); it does not halt the machine.
-func (e *Engine) stepOne(u, round int, inbox []Delivery) []Send {
-	if e.crashedAt[u] != 0 {
-		return nil
-	}
-	out := e.machines[u].Step(e.envs[u], round, inbox)
-	if out == nil {
-		return emptyOutbox
-	}
-	return out
-}
-
 // emptyOutbox distinguishes "stepped, sent nothing" from "did not step".
 var emptyOutbox = make([]Send, 0)
-
-func (e *Engine) allQuiet() bool {
-	for u := range e.machines {
-		if e.crashedAt[u] != 0 {
-			continue
-		}
-		if !e.machines[u].Done() {
-			return false
-		}
-	}
-	return true
-}
 
 func (e *Engine) result() *Result {
 	e.digest.words(digestOutcome, uint64(e.counters.Rounds()), uint64(e.counters.Messages()), uint64(e.counters.Bits()))

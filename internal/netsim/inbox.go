@@ -6,43 +6,36 @@ package netsim
 // alone span megabytes and every delivery append touches a random one,
 // so the delivery phase degenerated into cache misses. A shardInbox
 // replaces the per-node slices with one contiguous, reusable buffer per
-// receiver shard, partitioned by receiver through an offset table: node
-// u's inbox for the round is buf[off[u-lo] : off[u-lo+1]]. The buffer is
-// rebuilt every round by a stable two-pass counting sort over the
-// routing buckets, which visits memory strictly linearly, and its
+// receiver shard, partitioned by receiver through two offset tables:
+// node u's inbox for the round is buf[off[u-lo] : cur[u-lo]]. The buffer
+// is rebuilt every round by a stable two-pass counting sort over the
+// routing buckets and the round's awake nodes (buildInbox), and its
 // backing array is an arena owned by the shard — grown geometrically to
 // the run's high-water mark and then reused round after round, so the
 // steady state allocates nothing at any n.
 type shardInbox struct {
-	// lo is the first node of the shard; the offset table is indexed by
-	// u-lo.
+	// lo is the first node of the shard; the offset tables are indexed
+	// by u-lo.
 	lo int
 	// buf holds the shard's deliveries for the current round, grouped by
 	// receiver in ascending (sender, outbox index) order — exactly the
 	// order the per-node slices used to accumulate.
 	buf []Delivery
-	// off is the receiver partition: len shardSize+1, off[0] == 0.
+	// off[l] is where node lo+l's inbox starts in buf; it is meaningful
+	// only for the round's awake nodes.
 	off []int32
-	// cur is the counting-sort scratch (counts, then placement cursors).
+	// cur is the counting-sort scratch: delivery counts, then placement
+	// cursors, and after placement the end of each awake node's inbox.
+	// Stepping a node resets its entry to zero.
 	cur []int32
-	// dirty records that off holds nonzero entries from the previous
-	// build, so an all-quiet round can skip the rebuild entirely.
-	dirty bool
 }
 
 func newShardInbox(lo, hi int) shardInbox {
 	return shardInbox{
 		lo:  lo,
-		off: make([]int32, hi-lo+1),
+		off: make([]int32, hi-lo),
 		cur: make([]int32, hi-lo),
 	}
-}
-
-// slice returns node u's inbox for the current round. u must belong to
-// this shard.
-func (ib *shardInbox) slice(u int) []Delivery {
-	l := u - ib.lo
-	return ib.buf[ib.off[l]:ib.off[l+1]]
 }
 
 // growDeliveries returns the arena resized to hold n deliveries,

@@ -158,13 +158,20 @@ func (e *Env) SenderOf(port int) int { return Peer(e.N, e.ID, port) }
 
 // Machine is a per-node protocol state machine.
 //
-// Step is called once per round for every node that has not crashed and
-// has not halted. The inbox holds the deliveries that arrived at the start
-// of this round (messages sent in the previous round); it is empty in
-// round 1. Step returns the messages the node sends this round.
+// Step runs one round of one live node. In round 1 every live node is
+// stepped with an empty inbox. In every later round a live node is
+// stepped when its inbox holds deliveries — the messages sent to it in
+// the previous round — and otherwise only when it is awake: a machine
+// that does not implement Sleeper is awake every round, so it is stepped
+// once per round for as long as it has not crashed, exactly as in the
+// paper's synchronous model. Step returns the messages the node sends
+// this round.
 //
 // Done reports that the machine has halted voluntarily; the engine stops
-// once every live machine is done and no messages are in flight.
+// once every live machine is done and no messages are in flight. Done
+// and Output must be pure queries whose answers change only in the
+// machine's own Step: the engine reads Done right after each Step and
+// keeps that answer until the node is stepped again.
 //
 // Output returns the machine's final output and may be called at any time
 // after Run returns.
@@ -172,6 +179,31 @@ type Machine interface {
 	Step(env *Env, round int, inbox []Delivery) []Send
 	Done() bool
 	Output() any
+}
+
+// Sleeper is an optional Machine extension that lets the engine skip
+// idle steps, so a round costs time in proportion to the nodes that act
+// in it rather than to n. After a Step in round r, NextWake(r) returns
+// the earliest later round in which the machine must be stepped with an
+// empty inbox; a value <= r means r+1. The engine then skips the node's
+// Steps in the rounds before that one, except rounds in which it
+// receives deliveries: a node with deliveries is always stepped, and
+// after that Step it is asked again.
+//
+// The contract is a binding promise about the skipped Steps: each would
+// have returned no sends, annotated nothing (Env.Annotate), and left
+// Done and Output unchanged. Under it a run with sleepers is
+// indistinguishable from the same run with every node stepped every
+// round — same digest, outputs, crash rounds, counters and Tracer
+// stream — which the engine's differential tests pin. Adversaries still
+// see sleeping nodes: a sleeping faulty node is consulted with an empty
+// outbox, as if it had stepped and sent nothing.
+//
+// The engine resolves the capability once per Run. Machines without it
+// are awake every round; when no machine implements it, the engine
+// keeps no wake bookkeeping at all.
+type Sleeper interface {
+	NextWake(round int) int
 }
 
 // Adversary controls crash faults. The engine calls it as follows: the
@@ -182,8 +214,11 @@ type Machine interface {
 // outgoing message. CrashNow is called in increasing node order on the
 // engine's coordination thread, so adversaries may keep state and observe
 // outboxes across rounds (the "adaptively choose when and how" power of
-// the paper's static adversary). Once every faulty node has crashed, the
-// engine stops consulting the adversary altogether.
+// the paper's static adversary). A node that slept through the round
+// (Sleeper) is consulted with an empty outbox. Once every faulty node
+// has crashed, the engine stops consulting the adversary altogether.
+// Adversaries that publish their crash timing (CrashPlanner,
+// CrashLister) narrow the rounds or the nodes consulted.
 type Adversary interface {
 	Faulty(node int) bool
 	CrashNow(node, round int, outbox []Send) bool
@@ -205,11 +240,35 @@ type Adversary interface {
 // crash timing only upon seeing an outbox must not implement
 // CrashPlanner: during a published window they are not consulted at all.
 //
-// Fully scheduled adversaries (fault.Schedule) implement this, so every
-// dst/mc replay runs on the fused path between its scheduled crash
-// rounds; digest identity with the unfused path is pinned by tests.
+// CrashLister subsumes it. Outside tests, every adversary in this
+// module that implements CrashPlanner also implements CrashLister, which
+// the engine prefers, so the planner path is reached only through
+// wrappers that forward CrashPlanner alone.
 type CrashPlanner interface {
 	NextCrashRound(round int) int
+}
+
+// CrashLister is an optional Adversary extension for adversaries whose
+// crash timing is fixed before the run. CrashesIn(round) returns, in
+// ascending order, the only nodes whose CrashNow may return true in that
+// round; every other live faulty node is a binding "no". The engine then
+// consults just the listed nodes — in the same ascending order, so the
+// CrashNow and DeliverOnCrash call sequence of every crashing node, and
+// thus the coin consumption of a random drop policy, is unchanged —
+// instead of sweeping every live faulty node, and runs a round with an
+// empty list on the fused single-barrier path. The engine skips listed
+// nodes that are not faulty or have already crashed. The returned slice
+// is read before the next call and never modified.
+//
+// When an adversary implements both, the engine uses CrashLister and
+// ignores CrashPlanner. Scheduled adversaries (fault.Plan,
+// fault.ScheduleAdversary) implement it; adaptive ones (fault.Hunter)
+// must not, and neither may wrappers that cannot vouch for their inner
+// adversary — without it the engine keeps the full sweep the Adversary
+// contract promises. Digest identity with the full sweep is pinned by
+// tests.
+type CrashLister interface {
+	CrashesIn(round int) []int
 }
 
 // Tracer observes the typed event stream of a run: the execution flight

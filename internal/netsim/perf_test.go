@@ -61,6 +61,112 @@ func (m *fixedPingMachine) Step(_ *Env, round int, _ []Delivery) []Send {
 func (m *fixedPingMachine) Done() bool  { return false }
 func (m *fixedPingMachine) Output() any { return m.last }
 
+// sleepyPeriod is the send period of sleepyPingMachine.
+const sleepyPeriod = 4
+
+// sleepyPingMachine is the Sleeper workload of the allocation pins: node
+// u sends one message on port 1 in the rounds congruent to -u modulo
+// sleepyPeriod and sleeps in between, so a quarter of the nodes send in
+// each round, their receivers wake for the delivery, and every other
+// node is skipped — the sparse round path with the wheel, the awake
+// bitsets and the inbox offsets all in use.
+type sleepyPingMachine struct {
+	id, sent int
+	payload  benchPayload
+	out      [1]Send
+}
+
+func (m *sleepyPingMachine) Step(env *Env, round int, _ []Delivery) []Send {
+	m.id = env.ID
+	if (round+m.id)%sleepyPeriod != 0 {
+		return nil
+	}
+	m.sent++
+	m.payload.bits = 8
+	m.out[0] = Send{Port: 1, Payload: &m.payload}
+	return m.out[:]
+}
+
+func (m *sleepyPingMachine) NextWake(round int) int {
+	return round + sleepyPeriod - (round+m.id)%sleepyPeriod
+}
+
+func (m *sleepyPingMachine) Done() bool  { return false }
+func (m *sleepyPingMachine) Output() any { return m.sent }
+
+// listAdv is a CrashLister for the allocation pins: node u = 16k+3
+// crashes in round u+13, one crash every 16 rounds, and CrashesIn
+// returns a window of a table built up front.
+type listAdv struct{ nodes []int }
+
+func newListAdv(n int) listAdv {
+	a := listAdv{nodes: make([]int, n)}
+	for u := range a.nodes {
+		a.nodes[u] = u
+	}
+	return a
+}
+
+func (a listAdv) Faulty(u int) bool                       { return u%16 == 3 }
+func (a listAdv) CrashNow(u, round int, _ []Send) bool    { return round >= u+13 }
+func (a listAdv) DeliverOnCrash(_, _, i int, _ Send) bool { return i%2 == 0 }
+func (a listAdv) CrashesIn(round int) []int {
+	if u := round - 13; u >= 0 && u < len(a.nodes) && a.Faulty(u) {
+		return a.nodes[u : u+1]
+	}
+	return nil
+}
+
+// allocWorkload builds the machines and adversary of one allocation-pin
+// run: fixedPingMachine with no faults, or sleepyPingMachine under the
+// listing adversary.
+func allocWorkload(n int, sleepy bool) ([]Machine, Adversary) {
+	machines := make([]Machine, n)
+	for u := range machines {
+		if sleepy {
+			machines[u] = &sleepyPingMachine{}
+		} else {
+			machines[u] = &fixedPingMachine{}
+		}
+	}
+	if sleepy {
+		return machines, newListAdv(n)
+	}
+	return machines, nil
+}
+
+// marginalAllocs measures whole runs of a workload at two round counts
+// and returns the extra allocations per extra message: construction
+// cost cancels in the subtraction. The longer run must send more
+// messages — exactly wantExtra more when wantExtra is nonzero — or the
+// ratio would measure nothing.
+func marginalAllocs(t *testing.T, runs, short, long int, wantExtra int64, run func(rounds int) *Result) float64 {
+	t.Helper()
+	var msgs [2]int64
+	var allocs [2]float64
+	for i, rounds := range []int{short, long} {
+		allocs[i] = testing.AllocsPerRun(runs, func() {
+			msgs[i] = run(rounds).Counters.Messages()
+		})
+	}
+	extra := msgs[1] - msgs[0]
+	if extra <= 0 || wantExtra != 0 && extra != wantExtra {
+		t.Fatalf("%d rounds sent %d messages and %d rounds %d: %d extra, want %d",
+			short, msgs[0], long, msgs[1], extra, wantExtra)
+	}
+	return (allocs[1] - allocs[0]) / float64(extra)
+}
+
+// extraMessages is the message difference marginalAllocs expects from
+// allocWorkload between two round counts: every fixedPingMachine sends
+// once per round; the sleepy workload's count is only required to grow.
+func extraMessages(n, short, long int, sleepy bool) int64 {
+	if sleepy {
+		return 0
+	}
+	return int64((long - short) * n)
+}
+
 // TestSteadyStateAllocs pins the tentpole's zero-allocation claim: once a
 // run's buffers warm up, extra rounds cost no allocations. It measures
 // whole runs at two round counts and checks that the marginal
@@ -81,42 +187,43 @@ func TestSteadyStateAllocs(t *testing.T) {
 		name   string
 		mode   RunMode
 		traced bool
+		sleepy bool
 	}{
 		// Nil-Tracer cases pin the zero-overhead claim for tracing off:
 		// Config.Tracer is nil here, so these bound the exact path every
 		// untraced production run takes.
-		{"sequential", Sequential, false},
-		{"parallel", Parallel, false},
+		{"sequential", Sequential, false, false},
+		{"parallel", Parallel, false, false},
 		// Traced cases bound the engine-side cost of tracing with a no-op
 		// Tracer: the per-sender event buffers recycle across rounds, so
 		// steady-state tracing adds no allocations either (a real recorder
 		// backend adds only its own buffer growth and compression).
-		{"sequential-traced", Sequential, true},
-		{"parallel-traced", Parallel, true},
+		{"sequential-traced", Sequential, true, false},
+		{"parallel-traced", Parallel, true, false},
+		// Sleeper cases pin the sparse round path: the wake wheel, the
+		// awake bitsets and the CrashLister's lists recycle too.
+		{"sequential-sleepers", Sequential, false, true},
+		{"parallel-sleepers", Parallel, false, true},
+		{"parallel-sleepers-traced", Parallel, true, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			measure := func(rounds int) float64 {
-				return testing.AllocsPerRun(3, func() {
-					machines := make([]Machine, n)
-					for u := range machines {
-						machines[u] = &fixedPingMachine{}
-					}
-					cfg := Config{N: n, Alpha: 1, Seed: 42, MaxRounds: rounds}
-					if mode.traced {
-						cfg.Tracer = &countingTracer{}
-					}
-					eng, err := NewEngine(cfg, machines, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					eng.Mode = mode.mode
-					if _, err := eng.Run(); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			extraMsgs := float64((long - short) * n)
-			marginal := (measure(long) - measure(short)) / extraMsgs
+			marginal := marginalAllocs(t, 3, short, long, extraMessages(n, short, long, mode.sleepy), func(rounds int) *Result {
+				machines, adv := allocWorkload(n, mode.sleepy)
+				cfg := Config{N: n, Alpha: 1, Seed: 42, MaxRounds: rounds}
+				if mode.traced {
+					cfg.Tracer = &countingTracer{}
+				}
+				eng, err := NewEngine(cfg, machines, adv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.Mode = mode.mode
+				res, err := eng.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			})
 			// The engine itself is allocation-free per message; the budget
 			// of 0.01 allocs/message (one alloc per ~100 messages) absorbs
 			// runtime noise without hiding a real per-message allocation.
@@ -218,28 +325,29 @@ func TestSteadyStateAllocsLargeN(t *testing.T) {
 		long  = 16
 	)
 	for _, mode := range []struct {
-		name string
-		mode RunMode
-	}{{"sequential", Sequential}, {"parallel", Parallel}} {
+		name   string
+		mode   RunMode
+		sleepy bool
+	}{
+		{"sequential", Sequential, false},
+		{"parallel", Parallel, false},
+		{"sequential-sleepers", Sequential, true},
+		{"parallel-sleepers", Parallel, true},
+	} {
 		t.Run(mode.name, func(t *testing.T) {
-			measure := func(rounds int) float64 {
-				return testing.AllocsPerRun(2, func() {
-					machines := make([]Machine, n)
-					for u := range machines {
-						machines[u] = &fixedPingMachine{}
-					}
-					eng, err := NewEngine(Config{N: n, Alpha: 1, Seed: 42, MaxRounds: rounds}, machines, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					eng.Mode = mode.mode
-					if _, err := eng.Run(); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			extraMsgs := float64((long - short) * n)
-			marginal := (measure(long) - measure(short)) / extraMsgs
+			marginal := marginalAllocs(t, 2, short, long, extraMessages(n, short, long, mode.sleepy), func(rounds int) *Result {
+				machines, adv := allocWorkload(n, mode.sleepy)
+				eng, err := NewEngine(Config{N: n, Alpha: 1, Seed: 42, MaxRounds: rounds}, machines, adv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.Mode = mode.mode
+				res, err := eng.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			})
 			if marginal > 0.01 {
 				t.Errorf("marginal allocations = %.4f per message, want ~0", marginal)
 			}

@@ -16,16 +16,18 @@ package netsim
 //     sender-shard order, so each inbox sees deliveries in exactly the
 //     order the old per-node slices accumulated — through a stable
 //     counting sort into the shard's contiguous SoA inbox (inbox.go).
-//   - Step (same shards): each shard steps its live machines against
-//     the freshly built inbox slices and records the outboxes.
+//   - Step (same shards): each shard steps its awake live machines
+//     against the freshly built inbox slices and records the outboxes.
 //   - Crash pass (coordination thread, ascending node order): crash
 //     decisions. The adversary interface is stateful and
 //     order-sensitive, so CrashNow/DeliverOnCrash calls never move off
-//     the coordination thread and never reorder. When the adversary
-//     proves no crash can fire this round (CrashPlanner window, or no
-//     live faulty node remains), this pass is skipped entirely and the
-//     delivery, step, and send stages fuse into ONE worker dispatch —
-//     one barrier per round instead of three.
+//     the coordination thread and never reorder. A CrashLister
+//     adversary narrows the pass to the nodes it lists for the round;
+//     otherwise it sweeps every live faulty node. When the adversary
+//     proves no crash can fire this round (an empty CrashLister list, a
+//     CrashPlanner window, or no live faulty node remains), this pass
+//     is skipped entirely and the delivery, step, and send stages fuse
+//     into ONE worker dispatch — one barrier per round instead of three.
 //   - Send (sender shards, worker pool): validation, accounting into
 //     flat per-worker counters, per-sender lane digests, and routing of
 //     deliveries into per-(sender-shard, receiver-shard) buckets for
@@ -39,6 +41,21 @@ package netsim
 //     is a pure function of per-sender lanes folded in node order, and
 //     each lane is a pure function of one sender's outbox.
 //
+// Activity-proportional rounds. Each shard keeps an awake bitset: at
+// the start of a round it holds the shard's machines that do not
+// implement Sleeper (a persistent always-awake set), the nodes the wake
+// wheel (wake.go) releases for the round, and every receiver of the
+// previous round's buckets; the crash pass adds any node it crashes.
+// Delivery builds inboxes for just those nodes, step visits just those,
+// send and merge walk the same set, and each stepped sleeper files its
+// next wake; the termination check reads a running count of live
+// machines not Done instead of asking every machine. Every walk goes
+// shard by shard, word by word, bit by bit — ascending node order — so
+// the determinism argument above holds unchanged, and a round costs time
+// in proportion to its awake nodes, not to n. A run without sleepers
+// has every live node in the always-awake set and never touches the
+// wheel.
+//
 // All buffers (buckets, inbox arenas, bitsets, lane arrays, crash
 // masks, flat counters) are allocated once per Run — pre-sized from the
 // Config and the interned-kind registry — and recycled, so the
@@ -46,6 +63,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"sublinear/internal/metrics"
@@ -95,6 +113,7 @@ type delivWorker struct {
 	violations []Violation
 	err        error // first strict-mode violation; aborts the run
 	inFlight   bool  // some sender in this shard produced a nonempty outbox
+	notDone    int   // this round's change in live machines not Done
 }
 
 // violate records a CONGEST violation: an error in strict mode (stored,
@@ -138,6 +157,20 @@ type pipeline struct {
 	keep     [][]bool // crash-round delivery masks, indexed by sender
 	tevs     [][]tev  // per-sender trace-event buffers; nil when untraced
 	pool     *shardPool
+
+	// liveFaulty lists, in ascending order, the faulty nodes that have
+	// not crashed: the full crash pass sweeps it instead of all n nodes.
+	liveFaulty []int32
+
+	// Activity-proportional bookkeeping (see the header of this file):
+	// the stages visit the nodes of a per-shard awake bitset.
+	awake    [][]uint64 // per shard: bit u-lo marks node u for this round
+	always   [][]uint64 // per shard: live nodes that do not implement Sleeper
+	full     []bool     // per shard: always holds every node of the shard
+	sleepers []Sleeper  // per node, nil when no machine sleeps
+	wheel    wakeWheel  // sleeping nodes by wake round; unused without sleepers
+	done     []bool     // per node: Done() after its latest Step
+	notDone  int        // live machines whose latest Done() was false
 
 	// Per-dispatch inputs, set on the coordination thread before the
 	// pass barrier releases the workers.
@@ -216,7 +249,66 @@ func newPipeline(e *Engine, w int) *pipeline {
 	if w > 1 {
 		p.pool = newShardPool(w)
 	}
+	p.resolveSleepers()
 	return p
+}
+
+// resolveSleepers resolves the Sleeper capability once per Run. Every
+// live node steps in round 1, so every node starts awake; machines
+// without the capability also go into the always-awake set. The per-node
+// sleeper table and the wake wheel exist only when some machine sleeps.
+func (p *pipeline) resolveSleepers() {
+	e := p.e
+	n := e.cfg.N
+	for u, m := range e.machines {
+		if s, ok := m.(Sleeper); ok {
+			if p.sleepers == nil {
+				p.sleepers = make([]Sleeper, n)
+			}
+			p.sleepers[u] = s
+		}
+	}
+	p.awake = make([][]uint64, p.w)
+	p.always = make([][]uint64, p.w)
+	p.full = make([]bool, p.w)
+	for s := range p.awake {
+		lo := s * p.chunk
+		size := min(p.chunk, n-lo)
+		awake := make([]uint64, (size+63)>>6)
+		always := make([]uint64, len(awake))
+		for l := 0; l < size; l++ {
+			awake[l>>6] |= 1 << (l & 63)
+			if p.sleepers == nil || p.sleepers[lo+l] == nil {
+				always[l>>6] |= 1 << (l & 63)
+			}
+		}
+		p.awake[s] = awake
+		p.always[s] = always
+		p.full[s] = p.sleepers == nil || allNil(p.sleepers[lo:lo+size])
+	}
+	if p.sleepers != nil {
+		p.wheel = newWakeWheel(n, p.w, e.cfg.MaxRounds)
+	}
+	p.done = make([]bool, n)
+	p.notDone = n
+}
+
+func allNil(sleepers []Sleeper) bool {
+	for _, s := range sleepers {
+		if s != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// quiet reports that every live machine is done.
+func (p *pipeline) quiet() bool { return p.notDone == 0 }
+
+// markAwake adds node u to its shard's awake set for this round.
+func (p *pipeline) markAwake(u int) {
+	l := u & (p.chunk - 1)
+	p.awake[u>>p.shift][l>>6] |= 1 << (l & 63)
 }
 
 func (p *pipeline) close() {
@@ -250,39 +342,69 @@ func (p *pipeline) senders(round int) {
 // crashPass consults the adversary for this round's crash decisions, on
 // the coordination thread in ascending node order — the exact call
 // sequence stateful adversaries observed under the original sequential
-// engine. It returns the number of nodes that crashed.
-func (p *pipeline) crashPass(round int) int {
-	e := p.e
-	n := e.cfg.N
+// engine. listed is a CrashLister's list for the round; nil sweeps
+// every live faulty node. It returns the number of nodes that crashed.
+func (p *pipeline) crashPass(round int, listed []int) int {
 	crashes := 0
-	for u := 0; u < n; u++ {
-		outbox := p.outboxes[u]
-		if outbox == nil {
-			continue // crashed in an earlier round
+	if listed != nil {
+		prev := -1
+		for _, u := range listed {
+			if u <= prev {
+				panic(fmt.Sprintf("netsim: CrashesIn(%d) is not ascending: %d after %d", round, u, prev))
+			}
+			prev = u
+			if p.e.crashedAt[u] == 0 && p.faulty[u] && p.consult(u, round) {
+				crashes++
+			}
 		}
-		if e.crashedAt[u] == 0 && p.faulty[u] && e.adv.CrashNow(u, round, outbox) {
-			p.crashing[u] = true
-			e.crashedAt[u] = round
-			crashes++
-			mask := p.keep[u]
-			if cap(mask) < len(outbox) {
-				mask = make([]bool, len(outbox))
-			} else {
-				mask = mask[:len(outbox)]
-			}
-			deg := n - 1
-			if e.ports != nil {
-				deg = e.ports.Degree(u)
-			}
-			for i, s := range outbox {
-				// Out-of-range ports never reach the adversary, matching
-				// the original engine's call set.
-				mask[i] = s.Port >= 1 && s.Port <= deg && e.adv.DeliverOnCrash(u, round, i, s)
-			}
-			p.keep[u] = mask
-		}
+		return crashes
 	}
+	live := p.liveFaulty[:0]
+	for _, u := range p.liveFaulty {
+		if p.e.crashedAt[u] == 0 && p.consult(int(u), round) {
+			crashes++
+			continue
+		}
+		live = append(live, u)
+	}
+	p.liveFaulty = live
 	return crashes
+}
+
+// consult asks the adversary whether live faulty node u crashes this
+// round and, if it does, which of its messages survive.
+func (p *pipeline) consult(u, round int) bool {
+	e := p.e
+	outbox := p.outboxes[u]
+	if outbox == nil {
+		outbox = emptyOutbox // slept through the round: it sent nothing
+	}
+	if !e.adv.CrashNow(u, round, outbox) {
+		return false
+	}
+	p.crashing[u] = true
+	e.crashedAt[u] = round
+	mask := p.keep[u]
+	if cap(mask) < len(outbox) {
+		mask = make([]bool, len(outbox))
+	} else {
+		mask = mask[:len(outbox)]
+	}
+	deg := e.cfg.N - 1
+	if e.ports != nil {
+		deg = e.ports.Degree(u)
+	}
+	for i, s := range outbox {
+		// Out-of-range ports never reach the adversary, matching
+		// the original engine's call set.
+		mask[i] = s.Port >= 1 && s.Port <= deg && e.adv.DeliverOnCrash(u, round, i, s)
+	}
+	p.keep[u] = mask
+	p.markAwake(u) // the send stage and merge visit it
+	if !p.done[u] {
+		p.notDone--
+	}
+	return true
 }
 
 // merge is the deterministic round barrier on the coordination thread:
@@ -294,7 +416,6 @@ func (p *pipeline) crashPass(round int) int {
 // sender had messages in flight this round.
 func (p *pipeline) merge(round int) (bool, error) {
 	e := p.e
-	n := e.cfg.N
 	for i := range p.workers {
 		if err := p.workers[i].err; err != nil {
 			return false, err
@@ -307,6 +428,8 @@ func (p *pipeline) merge(round int) (bool, error) {
 			inFlight = true
 			wk.inFlight = false
 		}
+		p.notDone += wk.notDone
+		wk.notDone = 0
 		e.counters.AddBulk(wk.messages, wk.bits, wk.perKind)
 		wk.messages, wk.bits = 0, 0
 		for k := range wk.perKind {
@@ -317,46 +440,66 @@ func (p *pipeline) merge(round int) (bool, error) {
 			wk.violations = wk.violations[:0]
 		}
 	}
-	tracer := e.cfg.Tracer
-	for u := 0; u < n; u++ {
-		if p.crashing[u] {
-			e.digest.words(digestCrash, uint64(u), uint64(round))
-		}
-		if h := p.lane[u]; h != 0 {
-			e.digest.word(digestLane | uint64(u)<<8)
-			e.digest.word(h)
-			p.lane[u] = 0
-		}
-		if tracer != nil {
-			// Emit the node's buffered events in the digest fold order:
-			// crash first, then messages/violations in outbox order, then
-			// annotations. This sweep is the determinism argument for
-			// traces: event order is a pure function of per-sender buffers
-			// visited in ascending node order, independent of worker count.
-			if p.crashing[u] {
-				tracer.TraceCrash(u, round)
-			}
-			buf := p.tevs[u]
-			for i := range buf {
-				ev := &buf[i]
-				if ev.op == tevViolation {
-					tracer.TraceViolation(u, round, ev.reason)
-				} else {
-					tracer.TraceMessage(u, round, int(ev.port), ev.kind, int(ev.bits), ev.op == tevDrop)
-				}
-				ev.reason = "" // release, the buffer recycles
-			}
-			p.tevs[u] = buf[:0]
-			if env := e.envs[u]; len(env.annot) > 0 {
-				for _, a := range env.annot {
-					tracer.TraceAnnotation(u, round, a)
-				}
-				env.annot = env.annot[:0]
+	// Only awake nodes stepped, sent or crashed, so only they can have
+	// events to fold; shards, words and bits ascend, so this is still
+	// ascending node order. The walk also resets the sets to the
+	// always-awake nodes for the next round and forgets the outboxes the
+	// crash pass would otherwise mistake for this round's.
+	for s, awake := range p.awake {
+		lo := s * p.chunk
+		always := p.always[s]
+		for i, word := range awake {
+			awake[i] = always[i]
+			for word != 0 {
+				u := lo + i<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				p.fold(u, round)
+				p.outboxes[u] = nil
 			}
 		}
-		p.crashing[u] = false
 	}
 	return inFlight, nil
+}
+
+// fold folds node u's round into the run digest — its crash, then its
+// lane — and emits its buffered trace events in the same order: crash
+// first, then messages/violations in outbox order, then annotations.
+// Called in ascending node order, this is the determinism argument for
+// traces: event order is a pure function of per-sender buffers visited
+// in ascending node order, independent of worker count.
+func (p *pipeline) fold(u, round int) {
+	e := p.e
+	if p.crashing[u] {
+		e.digest.words(digestCrash, uint64(u), uint64(round))
+	}
+	if h := p.lane[u]; h != 0 {
+		e.digest.word(digestLane | uint64(u)<<8)
+		e.digest.word(h)
+		p.lane[u] = 0
+	}
+	if tracer := e.cfg.Tracer; tracer != nil {
+		if p.crashing[u] {
+			tracer.TraceCrash(u, round)
+		}
+		buf := p.tevs[u]
+		for i := range buf {
+			ev := &buf[i]
+			if ev.op == tevViolation {
+				tracer.TraceViolation(u, round, ev.reason)
+			} else {
+				tracer.TraceMessage(u, round, int(ev.port), ev.kind, int(ev.bits), ev.op == tevDrop)
+			}
+			ev.reason = "" // release, the buffer recycles
+		}
+		p.tevs[u] = buf[:0]
+		if env := e.envs[u]; len(env.annot) > 0 {
+			for _, a := range env.annot {
+				tracer.TraceAnnotation(u, round, a)
+			}
+			env.annot = env.annot[:0]
+		}
+	}
+	p.crashing[u] = false
 }
 
 // dispatch runs one pass across every shard and waits for the barrier.
@@ -370,54 +513,77 @@ func (p *pipeline) dispatch(pass passID) {
 }
 
 func (p *pipeline) runShard(shard int, pass passID) {
-	lo := shard * p.chunk
-	hi := min(lo+p.chunk, p.e.cfg.N)
 	switch pass {
 	case passFused:
 		p.buildInbox(shard)
-		p.stepShard(shard, lo, hi)
-		p.sendShard(shard, lo, hi)
+		p.stepShard(shard)
+		p.sendShard(shard)
 	case passDeliverStep:
 		p.buildInbox(shard)
-		p.stepShard(shard, lo, hi)
+		p.stepShard(shard)
 	case passSenders:
-		p.sendShard(shard, lo, hi)
+		p.sendShard(shard)
 	}
 }
 
 // buildInbox assembles receiver shard s's SoA inbox for the current
-// round from the previous round's routing buckets: a stable two-pass
-// counting sort by receiver. Sender shards are visited in ascending
-// order and each bucket holds deliveries in ascending (sender, outbox
-// index) order, so every inbox receives exactly the delivery order the
-// per-node slices used to accumulate — independent of worker count.
+// round from the previous round's routing buckets. It first completes
+// the shard's awake set — the always-awake nodes already in it, the
+// nodes the wheel wakes this round, and every receiver of the buckets —
+// and then builds the inboxes of exactly those nodes by a stable
+// counting sort, in time proportional to the deliveries and the awake
+// nodes rather than to the shard. Sender shards are visited in
+// ascending order and each bucket holds deliveries in ascending
+// (sender, outbox index) order, so every inbox receives exactly the
+// delivery order the per-node slices used to accumulate — independent
+// of worker count. It relies on cur being all zero on entry, which
+// stepShard restores: the count pass then needs no clearing sweep. Node
+// u's inbox is buf[off[u-lo]:cur[u-lo]].
 func (p *pipeline) buildInbox(s int) {
 	ib := &p.inbox[s]
+	awake := p.awake[s]
 	prev := p.gen ^ 1
+	if p.sleepers != nil {
+		p.wheel.wake(s, p.round, ib.lo, awake)
+	}
+	cur, off := ib.cur, ib.off
 	total := 0
 	for b := range p.workers {
-		total += len(p.workers[b].buckets[prev][s])
-	}
-	if total == 0 && !ib.dirty {
-		return // offsets are already all zero: every inbox slice is empty
-	}
-	cur := ib.cur
-	for i := range cur {
-		cur[i] = 0
-	}
-	for b := range p.workers {
-		for _, r := range p.workers[b].buckets[prev][s] {
-			cur[r.to-int32(ib.lo)]++
+		bucket := p.workers[b].buckets[prev][s]
+		total += len(bucket)
+		if p.full[s] { // every receiver is awake already
+			for _, r := range bucket {
+				cur[r.to-int32(ib.lo)]++
+			}
+			continue
+		}
+		for _, r := range bucket {
+			l := r.to - int32(ib.lo)
+			awake[l>>6] |= 1 << (l & 63)
+			cur[l]++
 		}
 	}
-	off := ib.off
 	var sum int32
-	for i, c := range cur {
-		off[i] = sum
-		cur[i] = sum
-		sum += c
+	for i, word := range awake {
+		if word == ^uint64(0) { // 64 awake nodes: no bit walk
+			c, o := cur[i<<6:i<<6+64], off[i<<6:i<<6+64]
+			for j, k := range c {
+				o[j], c[j] = sum, sum
+				sum += k
+			}
+			continue
+		}
+		for word != 0 {
+			l := i<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			k := cur[l]
+			off[l], cur[l] = sum, sum
+			sum += k
+		}
 	}
-	off[len(ib.cur)] = sum
+	if total == 0 {
+		return
+	}
 	ib.buf = growDeliveries(ib.buf, total)
 	for b := range p.workers {
 		bucket := p.workers[b].buckets[prev][s]
@@ -428,31 +594,76 @@ func (p *pipeline) buildInbox(s int) {
 		}
 		p.workers[b].buckets[prev][s] = bucket[:0]
 	}
-	ib.dirty = total > 0
 }
 
-// stepShard steps every live machine in [lo, hi) against the freshly
-// built inbox slices and records the outboxes.
-func (p *pipeline) stepShard(shard, lo, hi int) {
-	wk := &p.workers[shard]
-	ib := &p.inbox[shard]
-	for u := lo; u < hi; u++ {
-		out := p.e.stepOne(u, p.round, ib.slice(u))
-		p.outboxes[u] = out
-		if len(out) > 0 {
-			wk.inFlight = true
+// stepShard steps the live nodes of shard s's awake set in ascending
+// order against their inboxes, records the outboxes and whether each
+// node is Done (so the termination check needs no sweep), and files
+// each sleeper's next wake in the wheel. Crashed nodes leave the awake
+// and always-awake sets. Machines that report Done keep being stepped
+// when awake: Done means "I will not send unless I receive something",
+// which matters for reactive roles (a referee acts only when
+// contacted); it does not halt the machine.
+func (p *pipeline) stepShard(s int) {
+	e := p.e
+	wk := &p.workers[s]
+	ib := &p.inbox[s]
+	awake, always := p.awake[s], p.always[s]
+	round := p.round
+	for i, word := range awake {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			l := i<<6 + b
+			u := ib.lo + l
+			inbox := ib.buf[ib.off[l]:ib.cur[l]]
+			ib.cur[l] = 0
+			if e.crashedAt[u] != 0 {
+				awake[i] &^= 1 << b
+				always[i] &^= 1 << b
+				p.full[s] = false
+				continue
+			}
+			m := e.machines[u]
+			out := m.Step(e.envs[u], round, inbox)
+			if out == nil {
+				out = emptyOutbox
+			}
+			p.outboxes[u] = out
+			if len(out) > 0 {
+				wk.inFlight = true
+			}
+			if d := m.Done(); d != p.done[u] {
+				p.done[u] = d
+				if d {
+					wk.notDone--
+				} else {
+					wk.notDone++
+				}
+			}
+			if p.sleepers != nil {
+				if sl := p.sleepers[u]; sl != nil {
+					p.wheel.file(s, u, max(round+1, sl.NextWake(round)))
+				}
+			}
 		}
 	}
 }
 
-// sendShard processes every sender in [lo, hi) with a nonempty outbox.
-func (p *pipeline) sendShard(shard, lo, hi int) {
-	wk := &p.workers[shard]
-	for u := lo; u < hi; u++ {
-		if outbox := p.outboxes[u]; len(outbox) > 0 {
-			p.processSender(wk, u, outbox)
-			if wk.err != nil {
-				return
+// sendShard processes every sender of shard s with a nonempty outbox:
+// only awake nodes stepped, so only they can have outboxes.
+func (p *pipeline) sendShard(s int) {
+	wk := &p.workers[s]
+	lo := s * p.chunk
+	for i, word := range p.awake[s] {
+		for word != 0 {
+			u := lo + i<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if outbox := p.outboxes[u]; len(outbox) > 0 {
+				p.processSender(wk, u, outbox)
+				if wk.err != nil {
+					return
+				}
 			}
 		}
 	}
