@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"sublinear/internal/netsim"
 )
 
@@ -39,14 +41,15 @@ type agreementMachine struct {
 	hasZero     bool // decided on 0
 	sentZero    bool // forwarded 0 to referees (at most once)
 
-	// Referee role.
+	// Referee role. Each candidate port gets the 0 exactly once: on
+	// contact when the referee already holds it, otherwise when it
+	// first arrives.
 	refActive bool
 	candPorts []int
-	candSet   map[int]bool
 	holdsZero bool
-	zeroSent  map[int]bool // ports already sent 0
 
-	out netsim.EdgeQueue
+	out   netsim.EdgeQueue
+	sends []netsim.Send // the buffer each Step returns
 
 	// Explicit extension.
 	announcedBit int // -1 = none
@@ -90,11 +93,16 @@ func (m *agreementMachine) Step(env *netsim.Env, round int, inbox []netsim.Deliv
 		// Routed through the shared per-port queue so a node holding
 		// both roles never emits two messages on one edge in a round.
 		m.sentZero = true
-		for _, rp := range m.refPorts {
-			m.out.Enqueue(rp, zeroMsg{})
-		}
+		m.out.Broadcast(m.refPorts, zeroMsg{})
 	}
-	return m.out.Flush(nil)
+	return m.flush()
+}
+
+// flush emits this round's sends, at most one queued payload per port,
+// in the buffer the previous Step returned: the engine is done with it.
+func (m *agreementMachine) flush() []netsim.Send {
+	m.sends = m.out.Flush(m.sends[:0])
+	return m.sends
 }
 
 // start is Step 0: candidate selection, referee sampling, registration.
@@ -109,16 +117,14 @@ func (m *agreementMachine) start(env *netsim.Env) []netsim.Send {
 		m.hasZero = true
 		m.sentZero = true // the registration below carries the 0
 	}
-	ports := env.Rand.SampleDistinct(m.d.refereeCount, env.N-1, nil)
-	m.refPorts = make([]int, len(ports))
-	m.refPortSet = make(map[int]bool, len(ports))
-	sends := make([]netsim.Send, len(ports))
-	for i, p := range ports {
-		m.refPorts[i] = p + 1
-		m.refPortSet[p+1] = true
-		sends[i] = netsim.Send{Port: p + 1, Payload: bitRegister{bit: m.input}}
+	m.refPorts = env.Rand.SampleDistinct(m.d.refereeCount, env.N-1, nil)
+	m.refPortSet = make(map[int]bool, len(m.refPorts))
+	for i := range m.refPorts {
+		m.refPorts[i]++
+		m.refPortSet[m.refPorts[i]] = true
 	}
-	return sends
+	m.out.Broadcast(m.refPorts, bitRegister{bit: m.input})
+	return m.flush()
 }
 
 func (m *agreementMachine) handle(msg netsim.Delivery) {
@@ -137,7 +143,7 @@ func (m *agreementMachine) handle(msg netsim.Delivery) {
 			m.hasZero = true
 		}
 		switch {
-		case m.candSet != nil && m.candSet[msg.Port]:
+		case slices.Contains(m.candPorts, msg.Port):
 			m.receiveZeroAsReferee()
 		case !m.refPortSet[msg.Port]:
 			// Zero from an unknown port: a candidate whose registration
@@ -153,17 +159,12 @@ func (m *agreementMachine) handle(msg netsim.Delivery) {
 }
 
 func (m *agreementMachine) refereeContact(port int) {
-	if m.candSet == nil {
-		m.candSet = make(map[int]bool)
-	}
-	if m.candSet[port] {
+	if slices.Contains(m.candPorts, port) {
 		return
 	}
 	m.refActive = true
-	m.candSet[port] = true
 	m.candPorts = append(m.candPorts, port)
-	if m.holdsZero && !m.zeroSent[port] {
-		m.zeroSent[port] = true
+	if m.holdsZero {
 		m.out.Enqueue(port, zeroMsg{})
 	}
 }
@@ -175,14 +176,8 @@ func (m *agreementMachine) receiveZeroAsReferee() {
 		return
 	}
 	m.holdsZero = true
-	if m.zeroSent == nil {
-		m.zeroSent = make(map[int]bool)
-	}
 	for _, cp := range m.candPorts {
-		if !m.zeroSent[cp] {
-			m.zeroSent[cp] = true
-			m.out.Enqueue(cp, zeroMsg{})
-		}
+		m.out.Enqueue(cp, zeroMsg{})
 	}
 }
 
@@ -196,9 +191,10 @@ func (m *agreementMachine) announce(env *netsim.Env) []netsim.Send {
 	if m.hasZero {
 		bit = 0
 	}
+	var value netsim.Payload = valueAnnounce{bit: bit}
 	sends := make([]netsim.Send, 0, env.N-1)
 	for p := 1; p < env.N; p++ {
-		sends = append(sends, netsim.Send{Port: p, Payload: valueAnnounce{bit: bit}})
+		sends = append(sends, netsim.Send{Port: p, Payload: value})
 	}
 	return sends
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"sublinear/internal/netsim"
 	"sublinear/internal/rng"
@@ -108,12 +109,14 @@ type electionMachine struct {
 	// Referee role (activated on first contact).
 	refActive    bool
 	candPorts    []int
-	candSet      map[int]bool
 	refKnown     rankSet
-	out          netsim.EdgeQueue
 	maxProp      uint64
 	maxPropOwner bool
 	bestClaim    uint64
+
+	// All outgoing traffic, and the buffer each Step returns it in.
+	out   netsim.EdgeQueue
+	sends []netsim.Send
 
 	// Explicit extension.
 	announced uint64
@@ -175,14 +178,12 @@ func (m *electionMachine) start(env *netsim.Env) []netsim.Send {
 	m.proposed = make(map[uint64]bool)
 	m.echoed = make(map[uint64]bool)
 	m.floor = 1
-	ports := env.Rand.SampleDistinct(m.d.refereeCount, env.N-1, nil)
-	m.refPorts = make([]int, len(ports))
-	sends := make([]netsim.Send, len(ports))
-	for i, p := range ports {
-		m.refPorts[i] = p + 1
-		sends[i] = netsim.Send{Port: p + 1, Payload: rankAnnounce{rank: m.rank}}
+	m.refPorts = env.Rand.SampleDistinct(m.d.refereeCount, env.N-1, nil)
+	for i := range m.refPorts {
+		m.refPorts[i]++
 	}
-	return sends
+	m.broadcast(rankAnnounce{rank: m.rank})
+	return m.flush()
 }
 
 func (m *electionMachine) handle(round int, msg netsim.Delivery) {
@@ -190,9 +191,10 @@ func (m *electionMachine) handle(round int, msg netsim.Delivery) {
 	case rankAnnounce:
 		m.refereeContact(msg.Port)
 		if m.refKnown.Add(pl.rank) {
+			var fwd netsim.Payload = rankForward{rank: pl.rank}
 			for _, cp := range m.candPorts {
 				if cp != msg.Port {
-					m.out.Enqueue(cp, rankForward{rank: pl.rank})
+					m.out.Enqueue(cp, fwd)
 				}
 			}
 		}
@@ -221,8 +223,9 @@ func (m *electionMachine) handle(round int, msg netsim.Delivery) {
 		m.refereeContact(msg.Port)
 		if pl.rank > m.bestClaim {
 			m.bestClaim = pl.rank
+			var confirm netsim.Payload = confirmMsg{rank: pl.rank, owner: true}
 			for _, cp := range m.candPorts {
-				m.out.Enqueue(cp, confirmMsg{rank: pl.rank, owner: true})
+				m.out.Enqueue(cp, confirm)
 			}
 		}
 	case confirmMsg:
@@ -238,14 +241,10 @@ func (m *electionMachine) handle(round int, msg netsim.Delivery) {
 // activating it on first use and back-filling the new candidate with
 // everything the referee already knows.
 func (m *electionMachine) refereeContact(port int) {
-	if m.candSet == nil {
-		m.candSet = make(map[int]bool)
-	}
-	if m.candSet[port] {
+	if slices.Contains(m.candPorts, port) {
 		return
 	}
 	m.refActive = true
-	m.candSet[port] = true
 	m.candPorts = append(m.candPorts, port)
 	for _, r := range m.refKnown.All() {
 		m.out.Enqueue(port, rankForward{rank: r})
@@ -263,8 +262,9 @@ func (m *electionMachine) refereeContact(port int) {
 // monotone and never repeat.
 func (m *electionMachine) relayMax() {
 	m.stats.RelaysSent++
+	var relay netsim.Payload = relayMaxMsg{rank: m.maxProp, ownerProposed: m.maxPropOwner}
 	for _, cp := range m.candPorts {
-		m.out.Enqueue(cp, relayMaxMsg{rank: m.maxProp, ownerProposed: m.maxPropOwner})
+		m.out.Enqueue(cp, relay)
 	}
 }
 
@@ -367,14 +367,14 @@ func (m *electionMachine) proposalLogic(round int) {
 // one-message-per-edge-per-round discipline and avoids collisions on a
 // node holding both roles.
 func (m *electionMachine) broadcast(p netsim.Payload) {
-	for _, rp := range m.refPorts {
-		m.out.Enqueue(rp, p)
-	}
+	m.out.Broadcast(m.refPorts, p)
 }
 
-// flush emits this round's sends: at most one queued payload per port.
+// flush emits this round's sends, at most one queued payload per port,
+// in the buffer the previous Step returned: the engine is done with it.
 func (m *electionMachine) flush() []netsim.Send {
-	return m.out.Flush(nil)
+	m.sends = m.out.Flush(m.sends[:0])
+	return m.sends
 }
 
 // announce implements the explicit extension: every candidate that has a
@@ -384,9 +384,10 @@ func (m *electionMachine) announce(env *netsim.Env) []netsim.Send {
 	if !m.isCandidate || m.confirmed == 0 {
 		return nil
 	}
+	var leader netsim.Payload = leaderAnnounce{rank: m.confirmed}
 	sends := make([]netsim.Send, 0, env.N-1)
 	for p := 1; p < env.N; p++ {
-		sends = append(sends, netsim.Send{Port: p, Payload: leaderAnnounce{rank: m.confirmed}})
+		sends = append(sends, netsim.Send{Port: p, Payload: leader})
 	}
 	return sends
 }

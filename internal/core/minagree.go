@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sublinear/internal/metrics"
 	"sublinear/internal/netsim"
@@ -57,13 +58,15 @@ type minAgreeMachine struct {
 	min         uint64
 	sentMin     uint64 // last minimum forwarded to referees; ^0 = none
 
+	// Referee role. refMin only falls, so each candidate port is sent
+	// the minimum on contact (if there is one) and then every
+	// improvement: each push strictly improves what that port last got.
 	refActive bool
 	candPorts []int
-	candSet   map[int]bool
 	refMin    uint64
-	refSent   map[int]uint64 // per-port last pushed minimum; absent = none
 
-	out netsim.EdgeQueue
+	out   netsim.EdgeQueue
+	sends []netsim.Send // the buffer each Step returns
 }
 
 var (
@@ -90,11 +93,16 @@ func (m *minAgreeMachine) Step(env *netsim.Env, round int, inbox []netsim.Delive
 		// Forward the improved minimum to all referees (at most once per
 		// improvement).
 		m.sentMin = m.min
-		for _, rp := range m.refPorts {
-			m.out.Enqueue(rp, valueMsg{v: m.min})
-		}
+		m.out.Broadcast(m.refPorts, valueMsg{v: m.min})
 	}
-	return m.out.Flush(nil)
+	return m.flush()
+}
+
+// flush emits this round's sends, at most one queued payload per port,
+// in the buffer the previous Step returned: the engine is done with it.
+func (m *minAgreeMachine) flush() []netsim.Send {
+	m.sends = m.out.Flush(m.sends[:0])
+	return m.sends
 }
 
 func (m *minAgreeMachine) start(env *netsim.Env) []netsim.Send {
@@ -104,16 +112,14 @@ func (m *minAgreeMachine) start(env *netsim.Env) []netsim.Send {
 	}
 	m.isCandidate = true
 	m.sentMin = m.input
-	ports := env.Rand.SampleDistinct(m.d.refereeCount, env.N-1, nil)
-	m.refPorts = make([]int, len(ports))
-	m.refPortSet = make(map[int]bool, len(ports))
-	sends := make([]netsim.Send, len(ports))
-	for i, p := range ports {
-		m.refPorts[i] = p + 1
-		m.refPortSet[p+1] = true
-		sends[i] = netsim.Send{Port: p + 1, Payload: valueMsg{v: m.input, register: true}}
+	m.refPorts = env.Rand.SampleDistinct(m.d.refereeCount, env.N-1, nil)
+	m.refPortSet = make(map[int]bool, len(m.refPorts))
+	for i := range m.refPorts {
+		m.refPorts[i]++
+		m.refPortSet[m.refPorts[i]] = true
 	}
-	return sends
+	m.out.Broadcast(m.refPorts, valueMsg{v: m.input, register: true})
+	return m.flush()
 }
 
 func (m *minAgreeMachine) handle(msg netsim.Delivery) {
@@ -130,40 +136,24 @@ func (m *minAgreeMachine) handle(msg netsim.Delivery) {
 	// an unknown port (a candidate whose registration was lost to a
 	// crash). A pure push from one of our own referees is not referee
 	// traffic.
-	if fromMyReferee && !pl.register && !m.candSet[msg.Port] {
+	known := slices.Contains(m.candPorts, msg.Port)
+	if fromMyReferee && !pl.register && !known {
 		return
 	}
-	if m.candSet == nil {
-		m.candSet = make(map[int]bool)
-	}
-	if !m.candSet[msg.Port] {
+	if !known {
 		m.refActive = true
-		m.candSet[msg.Port] = true
 		m.candPorts = append(m.candPorts, msg.Port)
 		if m.refMin != ^uint64(0) {
-			m.pushTo(msg.Port)
+			m.out.Enqueue(msg.Port, valueMsg{v: m.refMin})
 		}
 	}
 	if pl.v < m.refMin {
 		m.refMin = pl.v
+		var push netsim.Payload = valueMsg{v: m.refMin}
 		for _, cp := range m.candPorts {
-			m.pushTo(cp)
+			m.out.Enqueue(cp, push)
 		}
 	}
-}
-
-// pushTo forwards the referee's current minimum to one candidate port if
-// it improves what that port has already been sent.
-func (m *minAgreeMachine) pushTo(port int) {
-	if m.refSent == nil {
-		m.refSent = make(map[int]uint64)
-	}
-	last, sent := m.refSent[port]
-	if sent && last <= m.refMin {
-		return
-	}
-	m.refSent[port] = m.refMin
-	m.out.Enqueue(port, valueMsg{v: m.refMin})
 }
 
 // NextWake implements netsim.Sleeper with the election's rule; the

@@ -76,6 +76,11 @@ func OpenJournal(dir string, p *Plan) (*Journal, map[int]*simsvc.JobResult, erro
 			f.Close()
 			return nil, nil, err
 		}
+		// The header is synced; sync the new directory entry too.
+		if err := simsvc.SyncDir(dir); err != nil {
+			f.Close()
+			return nil, nil, err
+		}
 		return j, done, nil
 	case err != nil:
 		return nil, nil, err

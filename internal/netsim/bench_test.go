@@ -77,17 +77,36 @@ func BenchmarkEngineModes(b *testing.B) {
 	}
 }
 
+// BenchmarkEdgeQueue measures a 32-port enqueue/flush cycle and a
+// candidate-sized fan-out: one Broadcast to the 3516 referees the
+// paper's election samples at n=2^17, flushed into a reused buffer.
 func BenchmarkEdgeQueue(b *testing.B) {
-	var q EdgeQueue
-	var buf []Send
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for p := 1; p <= 32; p++ {
-			q.Enqueue(p, testPayload{id: i})
+	b.Run("ports32", func(b *testing.B) {
+		var q EdgeQueue
+		var buf []Send
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for p := 1; p <= 32; p++ {
+				q.Enqueue(p, testPayload{id: i})
+			}
+			buf = q.Flush(buf[:0])
 		}
-		buf = q.Flush(buf[:0])
-	}
-	_ = buf
+		_ = buf
+	})
+	b.Run("fanout3516", func(b *testing.B) {
+		ports := make([]int, 3516)
+		for i := range ports {
+			ports[i] = 37*i + 1
+		}
+		var q EdgeQueue
+		var buf []Send
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			q.Broadcast(ports, testPayload{id: i})
+			buf = q.Flush(buf[:0])
+		}
+		_ = buf
+	})
 }
 
 func BenchmarkPortMath(b *testing.B) {

@@ -165,7 +165,11 @@ func (e *Env) SenderOf(port int) int { return Peer(e.N, e.ID, port) }
 // that does not implement Sleeper is awake every round, so it is stepped
 // once per round for as long as it has not crashed, exactly as in the
 // paper's synchronous model. Step returns the messages the node sends
-// this round.
+// this round. The engine, its adversary and its tracer read a returned
+// outbox only until the end of that round, so a machine may reuse the
+// slice's backing array for the outbox of its next Step (the core
+// machines return EdgeQueue.Flush(buf[:0]) this way). The inbox slice
+// likewise belongs to the engine: it is valid only during the Step.
 //
 // Done reports that the machine has halted voluntarily; the engine stops
 // once every live machine is done and no messages are in flight. Done

@@ -131,6 +131,18 @@ func TestJournalWarmsCacheAcrossRestart(t *testing.T) {
 // TestJournalTornTailRepair appends a torn half-record — the signature
 // of a kill mid-append — and verifies the log still opens, replays the
 // good prefix, and compacts the damage away.
+// TestSyncDir checks that the directory sync the journals rely on
+// succeeds on a real directory and reports a missing one.
+func TestSyncDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := SyncDir(dir); err != nil {
+		t.Fatalf("SyncDir(%s): %v", dir, err)
+	}
+	if err := SyncDir(filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("SyncDir on a missing directory: %v, want ErrNotExist", err)
+	}
+}
+
 func TestJournalTornTailRepair(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "simd.jsonl")
 	spec := JobSpec{Protocol: "election", N: 16, Alpha: 0.8, Seed: 1}

@@ -54,9 +54,9 @@ type jobJournalHeader struct {
 // jobRecord is one journal line after the header.
 type jobRecord struct {
 	// Op is "submit" or "done".
-	Op     string  `json:"op"`
-	ID     string  `json:"id"`
-	Tenant string  `json:"tenant,omitempty"`
+	Op     string   `json:"op"`
+	ID     string   `json:"id"`
+	Tenant string   `json:"tenant,omitempty"`
 	Spec   *JobSpec `json:"spec,omitempty"` // submit and done records
 	// Done records: the terminal state, the cache key, and (on success)
 	// the result, so replay re-warms the cache without re-running — and
@@ -139,6 +139,9 @@ func openJobJournal(path string, keepDone int) (*jobJournal, *journalReplay, err
 	if err := os.Rename(tmp, path); err != nil {
 		return nil, nil, err
 	}
+	if err := SyncDir(filepath.Dir(path)); err != nil {
+		return nil, nil, err
+	}
 	af, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, err
@@ -152,6 +155,21 @@ func openJobJournal(path string, keepDone int) (*jobJournal, *journalReplay, err
 	}
 	go j.flusher()
 	return j, replay, nil
+}
+
+// SyncDir fsyncs the directory dir. A file's own Sync does not persist
+// its directory entry, so a file just created in dir, or renamed into
+// it, survives a crash only once dir is synced too.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return fmt.Errorf("sync directory %s: %w", dir, err)
+	}
+	return d.Close()
 }
 
 // replayJobJournal decodes the log, stopping at the first torn or

@@ -56,6 +56,7 @@ type agreeMachine struct {
 	marked    bool
 	backPorts map[uint64]int
 	out       netsim.EdgeQueue
+	sends     []netsim.Send // the buffer each Step returns, reused next Step
 }
 
 var _ netsim.Machine = (*agreeMachine)(nil)
@@ -70,7 +71,8 @@ func (m *agreeMachine) Step(env *netsim.Env, round int, inbox []netsim.Delivery)
 	for _, d := range inbox {
 		m.handle(env, d)
 	}
-	return m.out.Flush(nil)
+	m.sends = m.out.Flush(m.sends[:0])
+	return m.sends
 }
 
 func (m *agreeMachine) start(env *netsim.Env) {

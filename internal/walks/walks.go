@@ -138,6 +138,7 @@ type machine struct {
 	mark      uint64         // highest rank written into this node
 	backPorts map[uint64]int // (tokenID<<16 | step) -> port toward home
 	out       netsim.EdgeQueue
+	sends     []netsim.Send // the buffer each Step returns, reused next Step
 }
 
 var _ netsim.Machine = (*machine)(nil)
@@ -150,7 +151,8 @@ func (m *machine) Step(env *netsim.Env, round int, inbox []netsim.Delivery) []ne
 	for _, d := range inbox {
 		m.handle(env, d)
 	}
-	return m.out.Flush(nil)
+	m.sends = m.out.Flush(m.sends[:0])
+	return m.sends
 }
 
 func (m *machine) start(env *netsim.Env) {
